@@ -1,9 +1,13 @@
 (* The experiment harness: one section per experiment in DESIGN.md's
    index (E1-E10), each printing a paper-style table.
 
-     dune exec bench/main.exe            # run everything
-     dune exec bench/main.exe e3 e7      # selected experiments
-     dune exec bench/main.exe micro      # Bechamel microbenchmarks
+     dune exec bench/main.exe                    # run everything
+     dune exec bench/main.exe e3 e7              # selected experiments
+     dune exec bench/main.exe -- e15 --json F    # also write the records to F
+     dune exec bench/main.exe micro              # Bechamel microbenchmarks
+
+   The exit status is non-zero when an experiment name is unknown or a
+   self-check fails (experiments [failwith] on a broken invariant).
 
    The paper (survey band) has no performance tables of its own; the
    figures are reproduced as executable artefacts and the performance
@@ -58,7 +62,7 @@ let header title =
 let row fmt = Printf.printf fmt
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable trajectory (--json -> BENCH_PR2.json)              *)
+(* Machine-readable trajectory (--json PATH)                          *)
 (* ------------------------------------------------------------------ *)
 
 type json =
@@ -122,12 +126,25 @@ let j_timing (t : timing) =
     ("major_words", J_num t.major_words);
   ]
 
+(* Online CPUs available to this process ([nproc] honours affinity);
+   the runtime's own recommendation when [nproc] is unavailable. *)
+let cores () =
+  match Unix.open_process_in "nproc 2>/dev/null" with
+  | exception Unix.Unix_error _ -> Domain.recommended_domain_count ()
+  | ic ->
+    let n = try int_of_string_opt (String.trim (input_line ic)) with End_of_file -> None in
+    ignore (Unix.close_process_in ic);
+    Option.value n ~default:(Domain.recommended_domain_count ())
+
 let write_json path =
   let buf = Buffer.create 4096 in
   json_to_buf buf
     (J_obj
        [
          ("schema", J_str "bench-trajectory-v2");
+         ("cores", J_int (cores ()));
+         ("ocaml_version", J_str Sys.ocaml_version);
+         ("recommended_domain_count", J_int (Domain.recommended_domain_count ()));
          ("records", J_list (List.rev !records));
        ]);
   Buffer.add_char buf '\n';
@@ -403,40 +420,6 @@ let e8 () =
     [ 16; 32; 64; 128 ]
 
 (* ------------------------------------------------------------------ *)
-(* E9 — planner ablation                                                *)
-(* ------------------------------------------------------------------ *)
-
-let e9 () =
-  header "E9  planner ablation: greedy fail-first vs declaration order";
-  row "%-6s  %8s  %8s  %12s  %12s  %10s\n" "query" "size" "hits" "greedy_ms" "fixed_ms" "ratio";
-  let dbs =
-    [ (`Bibliography, Gql_core.Gql.of_document (Gql_workload.Gen.bibliography ~seed:(seed 48) 400));
-      (`Greengrocer, Gql_core.Gql.of_document (Gql_workload.Gen.greengrocer ~seed:(seed 48) 400));
-      (`People, Gql_core.Gql.of_document (Gql_workload.Gen.people ~seed:(seed 48) 400)) ]
-  in
-  List.iter
-    (fun (e : Gql_workload.Queries.entry) ->
-      match e.kind, List.assoc_opt e.workload dbs with
-      | `Xmlgl p, Some db ->
-        let q = (List.hd (Lazy.force p).Gql_xmlgl.Ast.rules).Gql_xmlgl.Ast.query in
-        let g_ms, hits =
-          timed (fun () ->
-              List.length (Gql_algebra.Exec.run_xmlgl ~strategy:`Greedy db.Gql_core.Gql.graph q))
-        in
-        let f_ms, _ =
-          timed (fun () ->
-              List.length (Gql_algebra.Exec.run_xmlgl ~strategy:`Fixed db.Gql_core.Gql.graph q))
-        in
-        record ~experiment:"e9"
-          [ ("query", J_str e.name); ("size", J_int 400); ("hits", J_int hits);
-            ("greedy", J_obj (j_timing g_ms)); ("fixed", J_obj (j_timing f_ms));
-            ("ratio", J_num (ms f_ms /. ms g_ms)) ];
-        row "%-6s  %8d  %8d  %12.2f  %12.2f  %9.2fx\n" e.name 400 hits (ms g_ms)
-          (ms f_ms) (ms f_ms /. ms g_ms)
-      | _ -> ())
-    Gql_workload.Queries.suite
-
-(* ------------------------------------------------------------------ *)
 (* E10 — visual scalability: clutter and layout cost                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -639,8 +622,10 @@ let e12 () =
   let p50 = percentile_us all_lat 0.50
   and p95 = percentile_us all_lat 0.95
   and p99 = percentile_us all_lat 0.99 in
-  (* cold vs result-cache hit: re-LOAD bumps the snapshot version, so
-     the first RUN after it is a guaranteed miss *)
+  (* cold vs result-cache hit: each cold arm LOADs new content (a fresh
+     seed — byte-identical XML would be a digest-reuse no-op that keeps
+     the warm result cache), so the first RUN after it is a real miss;
+     the miss counter must rise once per cold run *)
   let c = Gql_server.Client.connect_unix sock in
   let q4 = List.find (fun (q : Gql_workload.Queries.server_query) -> q.sq_name = "Q4")
       Gql_workload.Queries.server_suite in
@@ -651,11 +636,22 @@ let e12 () =
     | Error m -> failwith ("E12 cold/hit: " ^ m));
     (Unix.gettimeofday () -. t) *. 1000.0
   in
+  let misses () =
+    match Gql_server.Client.metrics c with
+    | Ok (_, body) -> (
+      match List.assoc_opt "result_cache_misses" (Gql_server.Metrics.parse_body body) with
+      | Some v -> int_of_string v
+      | None -> failwith "E12: no result_cache_misses in METRICS")
+    | Error m -> failwith ("E12 metrics: " ^ m)
+  in
+  let n_cold = 3 in
+  let misses_before = misses () in
   let colds =
-    List.init 3 (fun _ ->
-        load "greengrocer" (Gql_workload.Gen.greengrocer ~seed:(seed 63) 800);
+    List.init n_cold (fun i ->
+        load "greengrocer" (Gql_workload.Gen.greengrocer ~seed:(seed (630 + i)) 800);
         run_once ())
   in
+  let cold_misses = misses () - misses_before in
   let hits = List.init 10 (fun _ -> run_once ()) in
   let cold_ms = List.fold_left min (List.hd colds) colds in
   let hit_ms = List.fold_left min (List.hd hits) hits in
@@ -688,8 +684,14 @@ let e12 () =
     (m "timeouts");
   if served_rps < base_rps then
     row "WARNING: served throughput below single-threaded baseline\n";
+  if cold_misses <> n_cold then
+    failwith
+      (Printf.sprintf "E12: %d cold runs raised result_cache_misses by %d"
+         n_cold cold_misses);
   if cache_speedup < 10.0 then
-    row "WARNING: result-cache hit less than 10x faster than cold query\n";
+    failwith
+      (Printf.sprintf "E12: result-cache hit only %.1fx faster than a cold query"
+         cache_speedup);
   let mi key = try int_of_string (m key) with _ -> -1 in
   record ~experiment:"e12"
     [ ("requests", J_int mix_n); ("clients", J_int clients);
@@ -702,7 +704,7 @@ let e12 () =
       ("server_p95_us", J_int (mi "latency_p95_us"));
       ("server_p99_us", J_int (mi "latency_p99_us"));
       ("cold_ms", J_num cold_ms); ("cache_hit_ms", J_num hit_ms);
-      ("cache_speedup", J_num cache_speedup);
+      ("cache_speedup", J_num cache_speedup); ("cold_misses", J_int cold_misses);
       ("result_cache_hits", J_int (mi "result_cache_hits"));
       ("result_cache_misses", J_int (mi "result_cache_misses"));
       ("timeouts", J_int (mi "timeouts")) ]
@@ -1077,107 +1079,52 @@ let e13v2 () =
        Gql_workload.Queries.q15_src) ]
 
 (* ------------------------------------------------------------------ *)
-(* E15 — planner ablation: cost-based vs greedy vs fixed               *)
+(* E15 — the planner against the Homo matcher                          *)
 (* ------------------------------------------------------------------ *)
 
 let e15 () =
-  header "E15  planner ablation: cost-based vs greedy vs fixed join order";
+  header "E15  planner: algebra rows vs the Homo matcher, estimates, crosses";
   row
-    "(same MATCH query through the algebra under the three planner\n\
-    \ strategies; each plan is built once and its execution timed —\n\
-    \ the plan-cache deployment model.  Every point checks the row\n\
-    \ counts agree, records the plan's own cost/row estimates and\n\
-    \ whether it contains a cartesian product.  Fixtures are E11's\n\
-    \ 120k-node labelled graph and the E13v2 million-node trio.)\n";
-  row "%-14s  %-8s  %9s  %6s  %10s  %10s  %12s\n" "workload" "strategy" "rows"
-    "cross" "median_ms" "min_ms" "est_cost";
-  let strategies = [ (`Cost, "cost"); (`Greedy, "greedy"); (`Fixed, "fixed") ] in
-  let bench_workload ~name ~data ~idx ~src =
-    let q = Gql_match.Parse.parse src in
-    let c = Gql_match.Compile.compile q in
-    (* The strategy points are compared against each other, and the
-       first evaluations on a fresh fixture run on a cold heap several
-       times slower than steady state — warm the workload globally
-       before measuring any strategy, or measurement order would
-       masquerade as a planner difference. *)
-    for _ = 1 to 6 do
-      ignore
-        (Gql_match.Eval.bindings_algebra ~strategy:`Greedy ~index:idx
-           ~domains:1 data c)
-    done;
-    let planned =
-      List.map
-        (fun (strategy, sname) ->
-          let job = Gql_match.Compile.job ~index:idx c in
-          (sname, job, Gql_algebra.Planner.build ~strategy data job))
-        strategies
+    "(each query is planned once and its execution timed — the\n\
+    \ plan-cache deployment model.  Every point checks the algebra's row\n\
+    \ count against the Homo matcher over the same index and records the\n\
+    \ plan's own row/cost estimates and whether it contains a cartesian\n\
+    \ product.  Fixtures: E11's 120k-node labelled graph, the E13v2\n\
+    \ million-node trio and the nine XML-GL suite queries at 400.)\n";
+  row "%-14s  %9s  %9s  %6s  %10s  %10s  %12s\n" "workload" "rows"
+    "est_rows" "cross" "median_ms" "min_ms" "est_cost";
+  let point ~name ~homo_rows ~plan execute =
+    let tm, rows = timed ~repeat:9 execute in
+    if rows <> homo_rows then
+      failwith
+        (Printf.sprintf "E15 %s: algebra returned %d rows, Homo %d" name rows
+           homo_rows);
+    let cross = Gql_algebra.Plan.has_cross plan in
+    let est_rows, est_cost =
+      match Gql_algebra.Plan.root_est plan with
+      | Some e -> (e.Gql_algebra.Plan.est_rows, e.Gql_algebra.Plan.est_cost)
+      | None -> (Float.nan, Float.nan)
     in
-    let execute (_, job, plan) =
-      List.length
-        (Gql_algebra.Exec.run ?provider:job.Gql_algebra.Planner.provider
-           ~domains:1 data c.Gql_match.Compile.pattern plan)
+    record ~experiment:"e15"
+      ([ ("workload", J_str name); ("rows", J_int rows);
+         ("homo_rows", J_int homo_rows); ("has_cross", J_bool cross);
+         ("plan_est_rows", J_num est_rows); ("plan_est_cost", J_num est_cost) ]
+      @ j_timing tm);
+    row "%-14s  %9d  %9.3g  %6s  %10.2f  %10.2f  %12.3g\n" name rows est_rows
+      (if cross then "yes" else "no")
+      tm.median_ms tm.min_ms est_cost
+  in
+  let match_point ~name ~data ~idx ~src =
+    let c = Gql_match.Compile.compile (Gql_match.Parse.parse src) in
+    let job = Gql_match.Compile.job ~index:idx c in
+    let plan = Gql_algebra.Planner.build data job in
+    let homo_rows =
+      List.length (Gql_match.Eval.bindings ~index:idx ~domains:1 data c)
     in
-    (* row-count agreement, checked once before timing (and doubling as
-       a per-plan warm-up run) *)
-    let rows = execute (List.hd planned) in
-    List.iter
-      (fun ((sname, _, _) as p) ->
-        let r = execute p in
-        if r <> rows then
-          failwith
-            (Printf.sprintf "E15 %s: %s returned %d rows, expected %d" name
-               sname r rows))
-      (List.tl planned);
-    (* Interleaved rounds rather than [timed] per strategy: the plans
-       often coincide, so any timing gap between strategies on a
-       sequential schedule would be heap drift, not planner quality.
-       Round-robin makes the drift hit every strategy alike. *)
-    let n_plans = List.length planned in
-    let samples = Array.make n_plans [] in
-    let minor = Array.make n_plans 0.0 in
-    let major = Array.make n_plans 0.0 in
-    let repeat = 9 in
-    Gc.compact ();
-    for _round = 1 to repeat do
-      List.iteri
-        (fun i p ->
-          let g0 = Gc.quick_stat () in
-          let t0 = Unix.gettimeofday () in
-          ignore (execute p);
-          let dt = (Unix.gettimeofday () -. t0) *. 1000.0 in
-          let g1 = Gc.quick_stat () in
-          samples.(i) <- dt :: samples.(i);
-          minor.(i) <- minor.(i) +. g1.Gc.minor_words -. g0.Gc.minor_words;
-          major.(i) <- major.(i) +. g1.Gc.major_words -. g0.Gc.major_words)
-        planned
-    done;
-    List.iteri
-      (fun i (sname, _, plan) ->
-        let sorted = List.sort compare samples.(i) in
-        let tm =
-          {
-            median_ms = List.nth sorted (repeat / 2);
-            min_ms = List.hd sorted;
-            minor_words = minor.(i) /. float_of_int repeat;
-            major_words = major.(i) /. float_of_int repeat;
-          }
-        in
-        let cross = Gql_algebra.Plan.has_cross plan in
-        let est_rows, est_cost =
-          match Gql_algebra.Plan.root_est plan with
-          | Some e -> (e.Gql_algebra.Plan.est_rows, e.Gql_algebra.Plan.est_cost)
-          | None -> (Float.nan, Float.nan)
-        in
-        record ~experiment:"e15"
-          ([ ("workload", J_str name); ("strategy", J_str sname);
-             ("rows", J_int rows); ("has_cross", J_bool cross);
-             ("plan_est_rows", J_num est_rows);
-             ("plan_est_cost", J_num est_cost) ]
-          @ j_timing tm);
-        row "%-14s  %-8s  %9d  %6s  %10.2f  %10.2f  %12.3g\n" name sname rows
-          (if cross then "yes" else "no")
-          tm.median_ms tm.min_ms est_cost)
-      planned
+    point ~name ~homo_rows ~plan (fun () ->
+        List.length
+          (Gql_algebra.Exec.run ?provider:job.Gql_algebra.Planner.provider
+             ~domains:1 data c.Gql_match.Compile.pattern plan))
   in
   (* -- E11's 120k-node labelled graph --------------------------------- *)
   begin
@@ -1186,7 +1133,7 @@ let e15 () =
     in
     let idx = Gql_data.Index.build data in
     List.iter
-      (fun (name, src) -> bench_workload ~name ~data ~idx ~src)
+      (fun (name, src) -> match_point ~name ~data ~idx ~src)
       [ ( "e11-point",
           "MATCH (r:L40)-[:key]->(v)\nWHERE v.value = \"k-16123\"\nRETURN r\n"
         );
@@ -1201,7 +1148,7 @@ let e15 () =
       let data = gen () in
       let idx = Gql_data.Index.build data in
       row "%-14s  (%d nodes)\n" name (Gql_data.Graph.n_nodes data);
-      bench_workload ~name ~data ~idx ~src;
+      match_point ~name ~data ~idx ~src;
       Gc.compact ())
     [ ( "wide-1M",
         (fun () -> Gql_workload.Gen.wide_graph ~seed:(seed 74) ~hubs:1024 1_000_000),
@@ -1211,7 +1158,31 @@ let e15 () =
         "MATCH (h:Head)-[:next+]->(t:Cell)\nRETURN h, t\n" );
       ( "skewed-1M",
         (fun () -> Gql_workload.Gen.skewed_graph ~seed:(seed 76) ~groups:512 1_000_000),
-        "MATCH (g:Group)-[:member]->(m:Member)\nRETURN g, m\n" ) ]
+        "MATCH (g:Group)-[:member]->(m:Member)\nRETURN g, m\n" ) ];
+  (* -- the nine XML-GL suite queries (indexed, as served) ------------- *)
+  let dbs =
+    [ (`Bibliography, Gql_core.Gql.of_document (Gql_workload.Gen.bibliography ~seed:(seed 48) 400));
+      (`Greengrocer, Gql_core.Gql.of_document (Gql_workload.Gen.greengrocer ~seed:(seed 48) 400));
+      (`People, Gql_core.Gql.of_document (Gql_workload.Gen.people ~seed:(seed 48) 400)) ]
+  in
+  List.iter
+    (fun (e : Gql_workload.Queries.entry) ->
+      match e.kind, List.assoc_opt e.workload dbs with
+      | `Xmlgl p, Some db ->
+        let q = (List.hd (Lazy.force p).Gql_xmlgl.Ast.rules).Gql_xmlgl.Ast.query in
+        let data = db.Gql_core.Gql.graph and index = Gql_core.Gql.index db in
+        let compiled = Gql_xmlgl.Matching.compile ~index data q in
+        let job = Gql_algebra.Planner.job_of_xmlgl ~index compiled in
+        let plan = Gql_algebra.Planner.build data job in
+        let homo_rows =
+          List.length (Gql_xmlgl.Matching.run ~index ~domains:1 data q)
+        in
+        point ~name:("xmlgl-" ^ e.name) ~homo_rows ~plan (fun () ->
+            List.length
+              (Gql_algebra.Exec.run ?provider:job.Gql_algebra.Planner.provider
+                 ~domains:1 data compiled.Gql_xmlgl.Matching.pattern plan))
+      | _ -> ())
+    Gql_workload.Queries.suite
 
 (* ------------------------------------------------------------------ *)
 (* E16 — flat product-automaton path engine                            *)
@@ -1617,13 +1588,13 @@ let e17 () =
 
 let all =
   [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
-    ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
+    ("e7", e7); ("e8", e8); ("e10", e10); ("e11", e11);
     ("e12", e12); ("e13", e13); ("e14", e14); ("e13v2", e13v2); ("e15", e15);
     ("e16", e16); ("e17", e17) ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let json = List.mem "--json" args in
+  let json = ref None in
   (* --seed N: shift every generator seed (see [seed_base]) *)
   let rec strip = function
     | "--seed" :: n :: rest ->
@@ -1638,7 +1609,12 @@ let () =
       | Some d -> Gql_graph.Par.set_default d
       | None -> Printf.eprintf "bad --domains %s (integer expected)\n" n);
       strip rest
-    | "--json" :: rest -> strip rest
+    | "--json" :: path :: rest when not (String.starts_with ~prefix:"-" path) ->
+      json := Some path;
+      strip rest
+    | "--json" :: _ ->
+      prerr_endline "--json needs an output path";
+      exit 2
     | a :: rest -> a :: strip rest
     | [] -> []
   in
@@ -1647,11 +1623,16 @@ let () =
   | [] -> List.iter (fun (_, f) -> f ()) all
   | [ "micro" ] -> micro ()
   | names ->
-    List.iter
-      (fun name ->
-        match List.assoc_opt (String.lowercase_ascii name) all with
-        | Some f -> f ()
-        | None ->
-          Printf.eprintf "unknown experiment %s (e1..e17, e13v2, micro)\n" name)
-      names);
-  if json then write_json "BENCH_PR10.json"
+    let unknown =
+      List.filter
+        (fun n -> not (List.mem_assoc (String.lowercase_ascii n) all))
+        names
+    in
+    if unknown <> [] then begin
+      Printf.eprintf "unknown experiment %s (known: %s, micro)\n"
+        (String.concat ", " unknown)
+        (String.concat " " (List.map fst all));
+      exit 2
+    end;
+    List.iter (fun name -> (List.assoc (String.lowercase_ascii name) all) ()) names);
+  Option.iter write_json !json

@@ -1,9 +1,10 @@
-(** The operator cost model (experiment E15).
+(** The operator cost model behind EXPLAIN's [rows=]/[cost=] columns.
 
     Every plan operator gets a cost formula over the planner's
     cardinality estimates; the unit is roughly "nanoseconds on the bench
-    host", but only *ratios* matter for join ordering, so the constants
-    are best read as relative operator weights.
+    host", but only *ratios* are meaningful when comparing plans, so the
+    constants are best read as relative operator weights.  The formulas
+    annotate the plan the greedy planner chose; they do not pick it.
 
     Inputs, in the order the planner can obtain them:
 
@@ -56,7 +57,7 @@ type calib = {
    linear model deliberately ignores (see the script header).  Checks,
    filters and cross are derived as small multiples of the indexed
    emit; path_hops is the mean chain length of the deep-1M fixture.
-   Ratios are what the planner consumes. *)
+   Only the ratios are meaningful. *)
 let default =
   {
     c_scan_indexed = 8.2;

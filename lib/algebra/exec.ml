@@ -189,31 +189,30 @@ let run ?(provider : (Graph.node_kind, Graph.edge) Gql_graph.Homo.provider optio
 (** End-to-end: compile an XML-GL query, plan it, execute, and return
     bindings restricted to the query's own nodes (the same shape
     [Gql_xmlgl.Matching.run] returns, so results are comparable). *)
-let run_xmlgl ?strategy ?index ?domains (data : Graph.t)
+let run_xmlgl ?index ?domains (data : Graph.t)
     (q : Gql_xmlgl.Ast.query) : int array list =
   let compiled = Gql_xmlgl.Matching.compile ?index data q in
   let job = Planner.job_of_xmlgl ?index compiled in
-  let plan = Planner.build ?strategy data job in
+  let plan = Planner.build data job in
   List.map
     (Gql_xmlgl.Matching.to_query_binding compiled)
     (run ?provider:job.Planner.provider ?domains data
        compiled.Gql_xmlgl.Matching.pattern plan)
 
-(** The plan text for an XML-GL query — EXPLAIN.  Cost-based by default:
-    EXPLAIN shows the plan a cost-aware server would run, annotated with
-    the model's row/cost estimates. *)
-let explain_xmlgl ?(strategy = `Cost) ?index (data : Graph.t)
+(** The plan text for an XML-GL query — EXPLAIN, annotated with the
+    cost model's row/cost estimates. *)
+let explain_xmlgl ?index (data : Graph.t)
     (q : Gql_xmlgl.Ast.query) : string =
   let compiled = Gql_xmlgl.Matching.compile ?index data q in
   let job = Planner.job_of_xmlgl ?index compiled in
-  Plan.to_string (Planner.build ~strategy data job)
+  Plan.to_string (Planner.build data job)
 
 (** The plan text for a WG-Log rule's query part, via the same algebra
     route (the fixpoint evaluator itself stays non-algebraic; this is
     the EXPLAIN view of how one rule's pattern would be joined). *)
-let explain_wglog ?(strategy = `Cost) ?index (data : Graph.t)
+let explain_wglog ?index (data : Graph.t)
     (r : Gql_wglog.Ast.rule) : string =
   let job = Planner.job_of_wglog ?index r in
   if Array.length job.Planner.pattern.Gql_graph.Homo.p_nodes = 0 then
     "(empty query part)\n"
-  else Plan.to_string (Planner.build ~strategy data job)
+  else Plan.to_string (Planner.build data job)

@@ -139,11 +139,11 @@ let xmlgl_bindings (db : db) (p : Gql_xmlgl.Ast.program) =
       r.Gql_xmlgl.Ast.query
 
 (** EXPLAIN for the first rule, via the algebra planner. *)
-let explain_xmlgl ?strategy (db : db) (p : Gql_xmlgl.Ast.program) : string =
+let explain_xmlgl (db : db) (p : Gql_xmlgl.Ast.program) : string =
   match p.Gql_xmlgl.Ast.rules with
   | [] -> "(no rules)"
   | r :: _ ->
-    Gql_algebra.Exec.explain_xmlgl ?strategy ~index:(index db) db.graph
+    Gql_algebra.Exec.explain_xmlgl ~index:(index db) db.graph
       r.Gql_xmlgl.Ast.query
 
 (* ------------------------------------------------------------------ *)
@@ -170,10 +170,10 @@ let wglog_goal (db : db) (r : Gql_wglog.Ast.rule) =
 
 (** EXPLAIN for the first rule's query part, via the algebra planner
     (the fixpoint itself is not algebraic; this shows its join order). *)
-let explain_wglog ?strategy (db : db) (p : Gql_wglog.Ast.program) : string =
+let explain_wglog (db : db) (p : Gql_wglog.Ast.program) : string =
   match p.Gql_wglog.Ast.rules with
   | [] -> "(no rules)"
-  | r :: _ -> Gql_algebra.Exec.explain_wglog ?strategy ~index:(index db) db.graph r
+  | r :: _ -> Gql_algebra.Exec.explain_wglog ~index:(index db) db.graph r
 
 (* ------------------------------------------------------------------ *)
 (* MATCH (textual GPML-style front-end)                                *)
@@ -200,8 +200,8 @@ let match_bindings (db : db) (q : Gql_match.Ast.query) : int array list =
   | r -> r
   | exception Gql_match.Compile.Error msg -> fail "MATCH compile error: %s" msg
 
-let explain_match ?strategy (db : db) (q : Gql_match.Ast.query) : string =
-  match Gql_match.Eval.explain ?strategy ~index:(index db) db.graph q with
+let explain_match (db : db) (q : Gql_match.Ast.query) : string =
+  match Gql_match.Eval.explain ~index:(index db) db.graph q with
   | r -> r
   | exception Gql_match.Compile.Error msg -> fail "MATCH compile error: %s" msg
 

@@ -384,7 +384,7 @@ let degree t n = Gql_graph.Csr.degree t.csr n
 
 (* --- statistics ------------------------------------------------------- *)
 
-(** Snapshot statistics for the cost-based planner ({!Gql_algebra} via
+(** Snapshot statistics for the planner ({!Gql_algebra} via
     the provider, and EXPLAIN's summary line): sizes, the CSR degree
     summary, and per-edge-name edge counts. *)
 type stats = {

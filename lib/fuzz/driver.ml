@@ -121,7 +121,7 @@ let checks_for ~(transport : Oracle.transport option)
                   ~xml ~source) } ]
       | Oracle.Loaded_vs_frozen ->
         (* one save/load round-trip per source language: the MATCH leg
-           exercises all six routes, XML-GL and WG-Log the engines *)
+           exercises all four routes, XML-GL and WG-Log the engines *)
         List.map
           (fun source ->
             { oracle; xml = c.Casegen.xml; source; parses = prog_parses;

@@ -9,8 +9,8 @@
     - {!digraph_vs_csr}: regular-path reachability over the mutable
       [Digraph] vs. the frozen [Csr] view (both sorted);
     - {!engine_vs_algebra}: the direct XML-GL matcher vs. the algebra
-      planner/executor under both join strategies (compared as sorted
-      binding sets — plan order is not part of the contract);
+      planner/executor (compared as sorted binding sets — plan order is
+      not part of the contract);
     - {!direct_vs_served}: in-process evaluation vs. a [gql serve]
       round-trip, cold and cached;
     - {!seq_vs_par}: 1-domain vs. N-domain evaluation — bindings, goal
@@ -18,7 +18,7 @@
       byte-identical (the determinism guarantee of [Gql_graph.Par]);
     - {!match_vs_algebra}: the textual [MATCH] front-end — parse→pp→parse
       identity, then the canonical result body along four in-process
-      routes (direct matcher scan/indexed, algebra greedy/fixed) and
+      routes (direct matcher and algebra, each scan and indexed) and
       through a served round-trip, cold and cached;
     - {!loaded_vs_frozen}: a freshly frozen index vs. the same index
       after a {!Gql_data.Store} save/load round-trip — every engine
@@ -213,22 +213,21 @@ let engine_vs_algebra ~(xml : string) ~(source : string) : verdict =
           let direct =
             capture (fun () -> norm_bindings (Gql_xmlgl.Matching.run ~index:idx data q))
           in
-          let planned strategy =
+          let planned =
             capture (fun () ->
-                norm_bindings (Gql_algebra.Exec.run_xmlgl ~strategy ~index:idx data q))
+                norm_bindings (Gql_algebra.Exec.run_xmlgl ~index:idx data q))
           in
-          match direct, planned `Greedy, planned `Fixed with
-          | Ok d, Ok g, Ok f ->
-            if d = g && d = f then rules rest
+          match direct, planned with
+          | Ok d, Ok a ->
+            if d = a then rules rest
             else
-              failf "binding sets differ: direct=%d greedy=%d fixed=%d"
-                (List.length d) (List.length g) (List.length f)
-          | Error a, Error b, Error c ->
-            if a = b && a = c then rules rest
-            else failf "errors differ: %s / %s / %s" a b c
-          | d, g, f ->
+              failf "binding sets differ: direct=%d algebra=%d"
+                (List.length d) (List.length a)
+          | Error a, Error b ->
+            if a = b then rules rest else failf "errors differ: %s / %s" a b
+          | d, a ->
             let s = function Ok _ -> "ok" | Error e -> e in
-            failf "one path raised: direct=%s greedy=%s fixed=%s" (s d) (s g) (s f))
+            failf "one path raised: direct=%s algebra=%s" (s d) (s a))
       in
       rules p.Gql_xmlgl.Ast.rules)
 
@@ -414,7 +413,7 @@ let seq_vs_par ~(xml : string) ~(source : string) : verdict =
     - the canonical result body must be byte-identical along four
       in-process routes that share only the compiled pattern: the direct
       homomorphism matcher with scan candidates, the same with the index
-      provider, and the algebra executor under both planner strategies
+      provider, and the algebra executor with and without the index
       (or all four must reject with the same message);
     - with a transport, the same body must come back from a served
       round-trip, cold and cached ([Rcache] on).
@@ -449,17 +448,9 @@ let match_vs_algebra (transport : transport option) ~(doc_name : string)
               route (fun c ->
                   Gql_match.Eval.bindings ~index:(Gql_core.Gql.index db) data c)
             );
-            ( "algebra-greedy",
+            ( "algebra-indexed",
               route (fun c ->
-                  Gql_match.Eval.bindings_algebra ~strategy:`Greedy
-                    ~index:(Gql_core.Gql.index db) data c) );
-            ( "algebra-fixed",
-              route (fun c ->
-                  Gql_match.Eval.bindings_algebra ~strategy:`Fixed
-                    ~index:(Gql_core.Gql.index db) data c) );
-            ( "algebra-cost",
-              route (fun c ->
-                  Gql_match.Eval.bindings_algebra ~strategy:`Cost
+                  Gql_match.Eval.bindings_algebra
                     ~index:(Gql_core.Gql.index db) data c) );
             ( "algebra-noindex",
               route (fun c -> Gql_match.Eval.bindings_algebra data c) );
@@ -491,11 +482,9 @@ let match_vs_algebra (transport : transport option) ~(doc_name : string)
             | Gql_server.Protocol.Err msg -> failf "served LOAD rejected: %s" msg
             | Gql_server.Protocol.Timeout _ -> Fail "LOAD timed out"
             | Gql_server.Protocol.Ok_ _ -> (
-              (* the server evaluates MATCH through the algebra (greedy,
-                 indexed): compare against that same route's body *)
-              let direct =
-                List.assoc "algebra-greedy" routes
-              in
+              (* the server evaluates MATCH through the algebra over the
+                 index: compare against that same route's body *)
+              let direct = List.assoc "algebra-indexed" routes in
               let run () =
                 t
                   (Gql_server.Protocol.Run
@@ -532,8 +521,8 @@ let match_vs_algebra (transport : transport option) ~(doc_name : string)
     load the file back, and demand that the loaded database answers
     byte-identically to the frozen original:
 
-    - [MATCH] sources run all six routes (homomorphism scan/indexed,
-      algebra greedy/fixed/cost/no-index) on both databases — the scan
+    - [MATCH] sources run all four routes (homomorphism and algebra,
+      each scan and indexed) on both databases — the scan
       routes force the lazy [Digraph] thaw, the indexed routes exercise
       the flat postings planes;
     - XML-GL programs compare rendered result documents;
@@ -607,17 +596,9 @@ let loaded_vs_frozen ~(xml : string) ~(source : string) : verdict =
                       route (fun c ->
                           Gql_match.Eval.bindings ~index:(Gql_core.Gql.index db)
                             data c) );
-                    ( "algebra-greedy",
+                    ( "algebra-indexed",
                       route (fun c ->
-                          Gql_match.Eval.bindings_algebra ~strategy:`Greedy
-                            ~index:(Gql_core.Gql.index db) data c) );
-                    ( "algebra-fixed",
-                      route (fun c ->
-                          Gql_match.Eval.bindings_algebra ~strategy:`Fixed
-                            ~index:(Gql_core.Gql.index db) data c) );
-                    ( "algebra-cost",
-                      route (fun c ->
-                          Gql_match.Eval.bindings_algebra ~strategy:`Cost
+                          Gql_match.Eval.bindings_algebra
                             ~index:(Gql_core.Gql.index db) data c) );
                     ( "algebra-noindex",
                       route (fun c -> Gql_match.Eval.bindings_algebra data c) );

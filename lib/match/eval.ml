@@ -1,8 +1,8 @@
 (** Evaluation routes and row rendering for [MATCH] queries.
 
-    Three routes over one compiled form: the direct homomorphism
-    matcher (with or without an index provider) and the algebra
-    executor under either planner strategy.  All routes produce the
+    Two routes over one compiled form: the direct homomorphism
+    matcher and the algebra executor, each with or without an index
+    provider.  All routes produce the
     same *bag* of embeddings; rows are rendered and then sorted
     lexicographically, so every route — and the served path, cold or
     cached — answers byte-identical text.  The [match-vs-algebra] fuzz
@@ -28,10 +28,10 @@ let bindings ?(index : Index.t option) ?domains (data : Graph.t)
 (** Embeddings via the algebra: plan with {!Gql_algebra.Planner.build}
     (residuals become Filter operators), run with
     {!Gql_algebra.Exec.run}. *)
-let bindings_algebra ?strategy ?(index : Index.t option) ?domains
+let bindings_algebra ?(index : Index.t option) ?domains
     (data : Graph.t) (c : Compile.t) : int array list =
   let job = Compile.job ?index c in
-  let plan = Gql_algebra.Planner.build ?strategy data job in
+  let plan = Gql_algebra.Planner.build data job in
   Gql_algebra.Exec.run ?provider:job.Gql_algebra.Planner.provider ?domains
     data c.Compile.pattern plan
 
@@ -64,22 +64,22 @@ let body (data : Graph.t) (c : Compile.t) (embs : int array list) : string =
 
 (** A planned MATCH query: compiled form + physical plan + provider,
     ready to execute against the snapshot it was planned for.  This is
-    what the server's plan cache stores — planning (estimate scans, DP
-    enumeration) runs once per (query hash, snapshot version). *)
+    what the server's plan cache stores — planning (estimate scans, join
+    ordering) runs once per (query hash, snapshot version). *)
 type prepared = {
   pr_compiled : Compile.t;
   pr_plan : Gql_algebra.Plan.t;
   pr_provider : (Graph.node_kind, Graph.edge) Gql_graph.Homo.provider option;
 }
 
-(** Compile and plan, cost-based by default. *)
-let prepare ?(strategy = `Cost) ?(index : Index.t option) (data : Graph.t)
+(** Compile and plan. *)
+let prepare ?(index : Index.t option) (data : Graph.t)
     (q : Ast.query) : prepared =
   let c = Compile.compile q in
   let job = Compile.job ?index c in
   {
     pr_compiled = c;
-    pr_plan = Gql_algebra.Planner.build ~strategy data job;
+    pr_plan = Gql_algebra.Planner.build data job;
     pr_provider = job.Gql_algebra.Planner.provider;
   }
 
@@ -92,15 +92,13 @@ let run_prepared ?domains (data : Graph.t) (p : prepared) : string * int =
   in
   (body data p.pr_compiled embs, List.length embs)
 
-(** The served entry point: compile, plan (cost-based — the same route
-    `gql serve` uses), run through the algebra, render.  Returns the
+(** The served entry point: compile, plan (the same route `gql serve`
+    uses), run through the algebra, render.  Returns the
     body and the row count. *)
 let run ?(index : Index.t option) ?domains (data : Graph.t) (q : Ast.query) :
     string * int =
   run_prepared ?domains data (prepare ?index data q)
 
-(** The plan text for a MATCH query — EXPLAIN, cost-annotated ([`Cost]
-    by default). *)
-let explain ?(strategy = `Cost) ?(index : Index.t option) (data : Graph.t)
-    (q : Ast.query) : string =
-  Gql_algebra.Plan.to_string (prepare ~strategy ?index data q).pr_plan
+(** The plan text for a MATCH query — EXPLAIN, cost-annotated. *)
+let explain ?(index : Index.t option) (data : Graph.t) (q : Ast.query) : string =
+  Gql_algebra.Plan.to_string (prepare ?index data q).pr_plan

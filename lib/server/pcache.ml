@@ -1,8 +1,8 @@
 (** The LRU plan cache.
 
     Planning a MATCH query against a frozen snapshot is deterministic
-    but not free: the cost-based planner scans for cardinality
-    estimates, samples fan-outs and enumerates join orders.  Serve
+    but not free: the planner scans for cardinality estimates, orders
+    the joins and samples fan-outs for EXPLAIN's estimates.  Serve
     traffic repeats the same few queries against the same snapshot, so
     the planned form ({!Gql_match.Eval.prepared}) is cached keyed by
     everything it depends on: the document name *and its snapshot

@@ -1,6 +1,6 @@
 (* Tests for Gql_algebra: plan construction, EXPLAIN rendering, and the
-   central equivalence property — plans (both strategies) produce the
-   same bindings as the direct Homo matcher. *)
+   central equivalence property — plans produce the same bindings as
+   the direct Homo matcher. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -38,7 +38,7 @@ let test_greedy_starts_selective () =
   (* greedy must not start from the most common node type *)
   let data = people 30 in
   let q = query_of q_src in
-  let s = Gql_algebra.Exec.explain_xmlgl ~strategy:`Greedy data q in
+  let s = Gql_algebra.Exec.explain_xmlgl data q in
   (* the deepest line (innermost op) is the scan; it must not scan the
      most frequent label.  We just require a single scan (connected
      pattern => no cross products). *)
@@ -53,9 +53,7 @@ let test_greedy_starts_selective () =
 let agree src data =
   let q = query_of src in
   let reference = normalise (Gql_xmlgl.Matching.run data q) in
-  let greedy = normalise (Gql_algebra.Exec.run_xmlgl ~strategy:`Greedy data q) in
-  let fixed = normalise (Gql_algebra.Exec.run_xmlgl ~strategy:`Fixed data q) in
-  reference = greedy && reference = fixed
+  reference = normalise (Gql_algebra.Exec.run_xmlgl data q)
 
 let test_equivalence_q3 () = check "q3" true (agree Gql_workload.Queries.q3_src (people 25))
 let test_equivalence_q6 () = check "q6 (negation)" true (agree Gql_workload.Queries.q6_src (people 25))
@@ -92,9 +90,9 @@ end
   check "uses cross" true (Gql_regex.Chre.search (Gql_regex.Chre.compile "cross") s);
   check "matches reference" true (agree src data)
 
-(* Property over random people-db sizes: both strategies agree with the
-   matcher on the full suite of XML-GL queries. *)
-let prop_strategies_agree =
+(* Property over random people-db sizes: plans agree with the matcher
+   on the people-suite XML-GL queries. *)
+let prop_plans_agree =
   QCheck.Test.make ~name:"plans agree with matcher on Q3/Q6" ~count:15
     QCheck.(make Gen.(int_range 3 25))
     (fun n ->
@@ -140,13 +138,9 @@ let test_capped_estimate_order () =
      counting pass, so B and C both reported 6 and B (the lower
      variable id) was expanded first.  [Plan.vars] lists the binding
      order outermost-first. *)
-  List.iter
-    (fun strategy ->
-      let plan = Gql_algebra.Planner.build ~strategy data job in
-      check_int "binding order A,C,B"
-        0
-        (compare (Gql_algebra.Plan.vars plan) [ 1; 2; 0 ]))
-    [ `Greedy; `Cost ]
+  let plan = Gql_algebra.Planner.build data job in
+  check_int "binding order A,C,B" 0
+    (compare (Gql_algebra.Plan.vars plan) [ 1; 2; 0 ])
 
 let test_parallel_edges_prefer_direct () =
   let data = counted_graph () in
@@ -168,14 +162,10 @@ let test_parallel_edges_prefer_direct () =
   let job =
     { Gql_algebra.Planner.pattern; residuals = []; provider = None }
   in
-  List.iter
-    (fun strategy ->
-      let plan = Gql_algebra.Planner.build ~strategy data job in
-      let s = Gql_algebra.Plan.to_string plan in
-      check "expand rides the direct edge" true (contains s "via direct");
-      check "path edge demoted to a check" true (contains s "\\(path\\)");
-      check "no path expansion" false (contains s "via path"))
-    [ `Greedy; `Cost; `Fixed ]
+  let s = Gql_algebra.Plan.to_string (Gql_algebra.Planner.build data job) in
+  check "expand rides the direct edge" true (contains s "via direct");
+  check "path edge demoted to a check" true (contains s "\\(path\\)");
+  check "no path expansion" false (contains s "via path")
 
 let test_sentinel_million_candidates () =
   (* Regression for the old pick_next scoring [est + 1_000_000 if
@@ -192,16 +182,40 @@ let test_sentinel_million_candidates () =
   in
   let c = Gql_match.Compile.compile q in
   let job = Gql_match.Compile.job ~index:idx c in
-  List.iter
-    (fun strategy ->
-      let plan = Gql_algebra.Planner.build ~strategy data job in
-      check "connected pattern has no cross" false
-        (Gql_algebra.Plan.has_cross plan))
-    [ `Greedy; `Cost ]
+  check "connected pattern has no cross" false
+    (Gql_algebra.Plan.has_cross (Gql_algebra.Planner.build data job))
 
 (* --- golden cost-annotated EXPLAIN suite ------------------------------ *)
 
 let check_str = Alcotest.(check string)
+
+(* A small version of the served benchmark's hub-join graph: eight
+   chains Head -next-> Cell..., plus twenty Groups with skewed member
+   counts, every Member pointing [in] to a chain Head. *)
+let hub_graph () =
+  let g = Graph.create () in
+  let heads =
+    Array.init 8 (fun _ ->
+        let head = Graph.add_complex g "Head" in
+        let prev = ref head in
+        for _ = 1 to 20 do
+          let cell = Graph.add_complex g "Cell" in
+          Graph.link g ~src:!prev ~dst:cell (Graph.rel_edge "next");
+          prev := cell
+        done;
+        head)
+  in
+  let m = ref 0 in
+  for i = 1 to 20 do
+    let grp = Graph.add_complex g "Group" in
+    for _ = 1 to 60 / i do
+      let mem = Graph.add_complex g "Member" in
+      Graph.link g ~src:grp ~dst:mem (Graph.rel_edge "member");
+      Graph.link g ~src:mem ~dst:heads.(!m mod 8) (Graph.rel_edge "in");
+      incr m
+    done
+  done;
+  g
 
 let explain_suite () : string =
   let buf = Buffer.create 4096 in
@@ -235,6 +249,10 @@ let explain_suite () : string =
   in
   x (bib, bib_idx) "Q2 (bibliography, XML-GL)" Gql_workload.Queries.q2_src;
   x (ppl, ppl_idx) "Q3 (people, XML-GL)" Gql_workload.Queries.q3_src;
+  x (grn, grn_idx) "Q4 (greengrocer, XML-GL)" Gql_workload.Queries.q4_src;
+  x (bib, bib_idx) "Q7 (bibliography, XML-GL)" Gql_workload.Queries.q7_src;
+  m (with_idx (hub_graph ())) "hub join (Group -> Member -> Head)"
+    "MATCH (g:Group)-[:member]->(m:Member)-[:in]->(h:Head)\nRETURN g, h\n";
   Buffer.contents buf
 
 (* Byte-compared against test/golden/explain_cost.txt: any change to
@@ -254,11 +272,12 @@ let test_explain_golden () =
     Printf.printf "--- actual golden/explain_cost.txt ---\n%s" actual;
     check_str "cost-annotated EXPLAIN suite" golden actual)
 
-(* The enumerated (cost-based) planner must agree with greedy on result
-   bytes for arbitrary fuzz-generated documents and MATCH queries — the
-   same canonical-body comparison the differential fuzzer runs. *)
-let prop_cost_matches_greedy =
-  QCheck.Test.make ~name:"cost plans match greedy result bytes (fuzz)"
+(* Planned execution must agree with the Homo matcher's unindexed scan
+   on result bytes for arbitrary fuzz-generated documents and MATCH
+   queries — the same canonical-body comparison the differential fuzzer
+   runs, against the route that shares neither planner nor index. *)
+let prop_plans_match_homo =
+  QCheck.Test.make ~name:"planned bytes match Homo scan bytes (fuzz)"
     ~count:200
     QCheck.(make Gen.(int_bound 0x3FFFFFFF))
     (fun seed ->
@@ -270,11 +289,9 @@ let prop_cost_matches_greedy =
       match Gql_match.Compile.compile q with
       | exception Gql_match.Compile.Error _ -> true
       | c ->
-        let body strategy =
-          Gql_match.Eval.body data c
-            (Gql_match.Eval.bindings_algebra ~strategy ~index data c)
-        in
-        body `Cost = body `Greedy)
+        Gql_match.Eval.body data c
+          (Gql_match.Eval.bindings_algebra ~index data c)
+        = Gql_match.Eval.body data c (Gql_match.Eval.bindings data c))
 
 let () =
   Alcotest.run "gql_algebra"
@@ -293,7 +310,7 @@ let () =
           Alcotest.test_case "bibliography queries" `Quick test_equivalence_bib;
           Alcotest.test_case "greengrocer queries" `Quick test_equivalence_greengrocer;
           Alcotest.test_case "cross product" `Quick test_cross_product;
-          QCheck_alcotest.to_alcotest prop_strategies_agree;
+          QCheck_alcotest.to_alcotest prop_plans_agree;
         ] );
       ( "cost model",
         [
@@ -305,6 +322,6 @@ let () =
             test_sentinel_million_candidates;
           Alcotest.test_case "golden cost-annotated explains" `Quick
             test_explain_golden;
-          QCheck_alcotest.to_alcotest prop_cost_matches_greedy;
+          QCheck_alcotest.to_alcotest prop_plans_match_homo;
         ] );
     ]

@@ -1,7 +1,7 @@
 (* Tests for the textual MATCH front-end: parser structure, the
    parse->pp->parse identity (fixed corpus and generated queries),
    golden error messages, and byte-identity of the evaluation routes
-   (homomorphism scan / indexed / algebra greedy / fixed / no-index)
+   (homomorphism and algebra, each scan and indexed)
    on a hand-written document. *)
 
 let check = Alcotest.(check bool)
@@ -171,10 +171,8 @@ let routes db (q : Gql_match.Ast.query) : (string * string) list =
   [
     ("homo-scan", body (Gql_match.Eval.bindings graph c));
     ("homo-indexed", body (Gql_match.Eval.bindings ~index:idx graph c));
-    ("algebra-greedy",
+    ("algebra-indexed",
      body (Gql_match.Eval.bindings_algebra ~index:idx graph c));
-    ("algebra-fixed",
-     body (Gql_match.Eval.bindings_algebra ~strategy:`Fixed ~index:idx graph c));
     ("algebra-noindex", body (Gql_match.Eval.bindings_algebra graph c));
   ]
 
@@ -230,8 +228,8 @@ let test_eval_matches_facade () =
   let src = "MATCH (i:item)-[]->(p:price)\nRETURN i, p.value\n" in
   let body, rows = Gql_core.Gql.run_match_text db src in
   check_int "three rows" 3 rows;
-  check_str "facade equals direct route" body
-    (List.assoc "algebra-greedy" (routes db (Gql_core.Gql.parse_match src)))
+  check_str "facade equals the served algebra route" body
+    (List.assoc "algebra-indexed" (routes db (Gql_core.Gql.parse_match src)))
 
 let () =
   Alcotest.run "gql_match"

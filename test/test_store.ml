@@ -68,17 +68,9 @@ let test_match_routes_identity () =
                   body (fun c ->
                       Gql_match.Eval.bindings ~index:(Gql_core.Gql.index db)
                         data c) );
-                ( "algebra-greedy",
+                ( "algebra-indexed",
                   body (fun c ->
-                      Gql_match.Eval.bindings_algebra ~strategy:`Greedy
-                        ~index:(Gql_core.Gql.index db) data c) );
-                ( "algebra-fixed",
-                  body (fun c ->
-                      Gql_match.Eval.bindings_algebra ~strategy:`Fixed
-                        ~index:(Gql_core.Gql.index db) data c) );
-                ( "algebra-cost",
-                  body (fun c ->
-                      Gql_match.Eval.bindings_algebra ~strategy:`Cost
+                      Gql_match.Eval.bindings_algebra
                         ~index:(Gql_core.Gql.index db) data c) );
                 ( "algebra-noindex",
                   body (fun c -> Gql_match.Eval.bindings_algebra data c) );
