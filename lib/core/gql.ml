@@ -17,9 +17,6 @@ type db = {
   document : Gql_xml.Tree.doc option;
   dtd : Gql_dtd.Ast.t option;
   xpath_index : Gql_xpath.Index.t Lazy.t;
-  gindex : Gql_data.Index.cache;
-      (** frozen graph index shared by every engine; rebuilt on demand
-          when the graph has grown (e.g. after a WG-Log run) *)
 }
 
 exception Error of string
@@ -42,7 +39,6 @@ let of_document ?dtd (document : Gql_xml.Tree.doc) : db =
     document = Some document;
     dtd;
     xpath_index = lazy (Gql_xpath.Index.build document);
-    gindex = Gql_data.Index.cache ();
   }
 
 let load_xml_string ?dtd (src : string) : db =
@@ -66,17 +62,15 @@ let of_graph (graph : Gql_data.Graph.t) : db =
     dtd = None;
     xpath_index =
       lazy (fail "this database has no document form; XPath unavailable");
-    gindex = Gql_data.Index.cache ();
   }
 
 (** Wrap a loaded snapshot ({!Gql_data.Store.load}) without rebuilding
-    anything: the index cache starts filled, so the first query runs on
-    the loaded flat planes instead of triggering a re-freeze
-    ([Index.refresh] sees the same graph at the same version). *)
+    anything: the index sits in the graph's frozen-index slot, so the
+    first query runs on the loaded flat planes instead of triggering a
+    re-freeze ([Index.refresh] sees the graph at the index's version). *)
 let of_snapshot (graph : Gql_data.Graph.t) (index : Gql_data.Index.t) : db =
-  let db = of_graph graph in
-  db.gindex.Gql_data.Index.cached <- Some index;
-  db
+  Gql_data.Index.attach graph index;
+  of_graph graph
 
 (** Load a snapshot file saved with [gql snapshot save] /
     {!Gql_data.Store.save}.  Raises [Gql_data.Store.Invalid_snapshot] on
@@ -119,9 +113,8 @@ let parse_xmlgl (src : string) : Gql_xmlgl.Ast.program =
   | Ok p -> p
   | Error msg -> fail "XML-GL parse error: %s" msg
 
-(** The current frozen index for [db.graph] (cached across calls). *)
-let index (db : db) : Gql_data.Index.t =
-  Gql_data.Index.refresh db.gindex db.graph
+(** The current frozen index for [db.graph] (kept in its slot). *)
+let index (db : db) : Gql_data.Index.t = Gql_data.Index.refresh db.graph
 
 let run_xmlgl ?domains (db : db) (p : Gql_xmlgl.Ast.program) :
     Gql_xml.Tree.element =

@@ -18,9 +18,6 @@ type db = {
   xpath_index : Gql_xpath.Index.t Lazy.t;
       (** flattened index for the navigational baseline; forcing it on a
           pure graph database raises {!Error} *)
-  gindex : Gql_data.Index.cache;
-      (** frozen graph index shared by every engine; rebuilt on demand
-          when the graph has grown (e.g. after a WG-Log run) *)
 }
 
 exception Error of string
@@ -43,9 +40,10 @@ val of_graph : Gql_data.Graph.t -> db
     restaurant base).  XPath is unavailable on such databases. *)
 
 val of_snapshot : Gql_data.Graph.t -> Gql_data.Index.t -> db
-(** Wrap a loaded snapshot pair ({!Gql_data.Store.load}) with the index
-    cache pre-filled, so the first query runs on the loaded flat planes
-    instead of re-freezing.  XPath is unavailable. *)
+(** Wrap a loaded snapshot pair ({!Gql_data.Store.load}), leaving the
+    index in the graph's frozen-index slot, so the first query runs on
+    the loaded flat planes instead of re-freezing.  XPath is
+    unavailable. *)
 
 val load_snapshot_file : string -> db
 (** Load a snapshot file saved with [gql snapshot save].
@@ -53,8 +51,9 @@ val load_snapshot_file : string -> db
     wrong-version files. *)
 
 val index : db -> Gql_data.Index.t
-(** The frozen {!Gql_data.Index} over [db.graph], built on first use and
-    cached until the graph grows. *)
+(** The frozen {!Gql_data.Index} over [db.graph] ({!Gql_data.Index.refresh}):
+    built on first use and kept in the graph's frozen-index slot until
+    the graph grows. *)
 
 val language_of_source : string -> [ `Wglog | `Xmlgl | `Match | `Unknown ]
 (** Which front-end a query source selects: the first word of its first

@@ -32,6 +32,11 @@ type edge = {
 
 type digraph = (node_kind, edge) Gql_graph.Digraph.t
 
+(** What a graph's frozen-index slot can hold.  {!Gql_data.Index} adds
+    its one constructor; the type is open only because the index module
+    sits above this one. *)
+type frozen = ..
+
 (** The mutable adjacency representation is held behind a one-shot lazy
     cell so a snapshot loaded from disk ({!Gql_data.Store}) can serve
     indexed queries off its CSR planes without ever paying the cons-list
@@ -45,6 +50,9 @@ type t = {
   hint_nodes : int;  (** counts while unforced — keeps [Index.refresh]'s *)
   hint_edges : int;  (** version check from forcing the thaw *)
   mutable roots : Gql_graph.Digraph.node list;
+  frozen : frozen option Atomic.t;
+      (** the index built from this graph or loaded with it; a copy
+          starts with its parent's (see [Index.refresh]) *)
 }
 
 type node = Gql_graph.Digraph.node
@@ -70,9 +78,9 @@ let digraph t : digraph =
 
 let forced t = Option.is_some (Atomic.get t.cell)
 
-let of_digraph g roots : t =
+let of_digraph ?frozen g roots : t =
   { cell = Atomic.make (Some g); thaw = no_thaw; hint_nodes = 0;
-    hint_edges = 0; roots }
+    hint_edges = 0; roots; frozen = Atomic.make frozen }
 
 let create () : t = of_digraph (Gql_graph.Digraph.create ~dummy:dummy_kind) []
 
@@ -81,12 +89,18 @@ let create () : t = of_digraph (Gql_graph.Digraph.create ~dummy:dummy_kind) []
     from the hints while the cell is empty. *)
 let of_thaw ~n_nodes ~n_edges ~roots thaw : t =
   { cell = Atomic.make None; thaw; hint_nodes = n_nodes;
-    hint_edges = n_edges; roots }
+    hint_edges = n_edges; roots; frozen = Atomic.make None }
+
+let frozen t = Atomic.get t.frozen
+let set_frozen t f = Atomic.set t.frozen (Some f)
 
 (** An independent copy of the data graph; forked snapshots let the
     deductive WG-Log evaluator saturate a private graph while the
-    original stays frozen (the server's per-request semantics). *)
-let copy t : t = of_digraph (Gql_graph.Digraph.copy (digraph t)) t.roots
+    original stays frozen (the server's per-request semantics).  The
+    copy carries the parent's frozen index: until the copy grows, that
+    index describes its content exactly. *)
+let copy t : t =
+  of_digraph ?frozen:(frozen t) (Gql_graph.Digraph.copy (digraph t)) t.roots
 
 let add_complex t label = Gql_graph.Digraph.add_node (digraph t) (Complex label)
 let add_atom t v = Gql_graph.Digraph.add_node (digraph t) (Atom v)

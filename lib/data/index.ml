@@ -29,10 +29,17 @@
     one immediate int and allocates nothing.
 
     Symbols are snapshot-local: ids from one build must never be
-    compared with ids (or used against postings) of another.  The index
-    is a snapshot: [refresh] on a {!cache} rebuilds it only when the
-    graph has grown (the data graph is append-only; node payloads are
-    never mutated after construction). *)
+    compared with ids (or used against postings) of another.
+
+    The index is a snapshot of graph *content*, not of graph identity.
+    [build] and [Store.load] leave it in the graph's frozen-index slot,
+    and [Graph.copy] hands that slot to the copy.  [refresh] returns the
+    slot's index while the graph's (n_nodes, n_edges) still equal the
+    index's version, and rebuilds otherwise: the data graph is
+    append-only and node payloads are never mutated, so equal counts
+    mean equal content.  A WG-Log fork therefore runs on its snapshot's
+    index until its first derived edge, and [graph] of that index is the
+    parent graph. *)
 
 module Iset = Gql_graph.Iset
 
@@ -164,7 +171,14 @@ type t = {
   planes : (int, int array * int array) Hashtbl.t;  (** hint -> out, in *)
   path_specs : (int, Gql_graph.Regpath.spec) Hashtbl.t;  (** automaton uid *)
   path_memo : (int * int * int, Iset.t) Hashtbl.t;  (** uid, dir, node *)
+  mutable path_elems : int;
+      (** ints held by [path_specs] and [path_memo]; see [path_budget] *)
 }
+
+type Graph.frozen += Frozen of t
+
+(** Leave [t] in [g]'s frozen-index slot, where [refresh g] finds it. *)
+let attach (g : Graph.t) (t : t) = Graph.set_frozen g (Frozen t)
 
 let build (data : Graph.t) : t =
   let csr = Gql_graph.Csr.freeze (Graph.digraph data) in
@@ -233,7 +247,7 @@ let build (data : Graph.t) : t =
     out
   in
   let adj_sets l = Array.map (fun lst -> Iset.of_array (Array.of_list lst)) l in
-  {
+  let t = {
     data;
     csr;
     version = (Graph.n_nodes data, Graph.n_edges data);
@@ -267,11 +281,19 @@ let build (data : Graph.t) : t =
     planes = Hashtbl.create 4;
     path_specs = Hashtbl.create 8;
     path_memo = Hashtbl.create 64;
-  }
+    path_elems = 0;
+  } in
+  attach data t;
+  t
 
 (* --- lookups --------------------------------------------------------- *)
 
 let csr t = t.csr
+
+(** The graph this index was built from or loaded with.  A copy of that
+    graph shares the index until it grows, so [graph] may be the
+    parent, not the graph being queried: an index describes content,
+    not identity. *)
 let graph t = t.data
 let n_nodes t = fst t.version
 let n_edges t = snd t.version
@@ -546,6 +568,29 @@ let plane t hint : int array * int array =
           Hashtbl.replace t.planes hint p;
           p)
 
+(* [path_specs] and [path_memo] are keyed by automaton uid, and every
+   compile mints a fresh uid: each ad-hoc query, and each WG-Log run on a
+   fork that shares this index.  So once the two tables hold more ints
+   than a budget proportional to the snapshot, both are dropped whole.
+   That only trades time for memory: the memo never changes an answer
+   (GQL_PATH_MEMO=0 runs without it).  Caller holds [path_lock]. *)
+let path_budget t = 16 * max 4096 (n_nodes t)
+
+let path_store t tbl key v ~ints =
+  if not (Hashtbl.mem tbl key) then begin
+    if t.path_elems + ints > path_budget t then begin
+      Hashtbl.reset t.path_specs;
+      Hashtbl.reset t.path_memo;
+      t.path_elems <- 0
+    end;
+    Hashtbl.replace tbl key v;
+    t.path_elems <- t.path_elems + ints
+  end
+
+(** Ints the path tables hold now; never above [path_budget] by more
+    than one entry. *)
+let path_memo_ints t = with_lock t.path_lock (fun () -> t.path_elems)
+
 (* Automaton leaves resolved against this snapshot's interner, cached
    per automaton uid (names interned after the freeze resolve to the
    never-matching sentinel — they cannot name any frozen edge). *)
@@ -556,8 +601,7 @@ let path_spec t rp : Rp.spec =
   | None ->
     let s = Rp.specialise rp ~intern:(fun name -> label_sym t name) in
     with_lock t.path_lock (fun () ->
-        if not (Hashtbl.mem t.path_specs uid) then
-          Hashtbl.replace t.path_specs uid s);
+        path_store t t.path_specs uid s ~ints:(1 + Array.length s));
     s
 
 (* The memo can only trade memory for time — disabling it (debugging,
@@ -591,8 +635,7 @@ let path_cached t rp ~(rev : bool) n : Iset.t =
       Rp.note_memo_miss ();
       let s = path_run t rp ~rev n in
       with_lock t.path_lock (fun () ->
-          if not (Hashtbl.mem t.path_memo key) then
-            Hashtbl.replace t.path_memo key s);
+          path_store t t.path_memo key s ~ints:(1 + Iset.length s));
       s
   end
 
@@ -637,21 +680,15 @@ let provider ?(navs : Gql_graph.Homo.nav option array = [||]) t
     prov_nav = (fun i -> if i < Array.length navs then navs.(i) else None);
   }
 
-(* --- cache ------------------------------------------------------------ *)
+(* --- the graph's slot ---------------------------------------------------- *)
 
-type cache = { mutable cached : t option }
-
-let cache () = { cached = None }
-
-(** The index for [data], rebuilt only if the graph has grown since the
-    cached build (append-only graphs make size a sound version stamp). *)
-let refresh (c : cache) (data : Graph.t) : t =
-  match c.cached with
-  | Some idx
-    when idx.data == data
-         && idx.version = (Graph.n_nodes data, Graph.n_edges data) ->
+(** The index for [data]: the one in its frozen-index slot while the
+    graph has not grown since that index was built (append-only graphs
+    make size a sound version stamp), otherwise a fresh [build], which
+    replaces it in the slot. *)
+let refresh (data : Graph.t) : t =
+  match Graph.frozen data with
+  | Some (Frozen idx) when idx.version = (Graph.n_nodes data, Graph.n_edges data)
+    ->
     idx
-  | Some _ | None ->
-    let idx = build data in
-    c.cached <- Some idx;
-    idx
+  | Some _ | None -> build data

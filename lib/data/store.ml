@@ -909,10 +909,10 @@ let file_key path : string =
 
 (** Load a snapshot: verify everything, blit the hot planes into native
     arrays, wire the cold lanes lazily, and return the graph + index
-    pair ([Index.graph] of the result is the returned graph, so
-    [Index.refresh] on a cache seeded with this index is a no-op until
-    the graph grows).  The mutable digraph is NOT materialised — it
-    thaws from the CSR on first scan-route/fork/render use. *)
+    pair.  The index sits in the graph's frozen-index slot, so
+    [Index.refresh] returns it until the graph grows.  The mutable
+    digraph is NOT materialised — it thaws from the CSR on first
+    scan-route/fork/render use. *)
 let load ~path : Graph.t * Index.t =
   let t0 = now_us () in
   let mp = open_mapped ~verify:true path in
@@ -1201,7 +1201,9 @@ let load ~path : Graph.t * Index.t =
       planes = Hashtbl.create 4;
       path_specs = Hashtbl.create 8;
       path_memo = Hashtbl.create 64;
+      path_elems = 0;
     }
   in
+  Index.attach graph index;
   note loads load_us ~us:(now_us () - t0) ~bytes:mp.mp_total;
   (graph, index)

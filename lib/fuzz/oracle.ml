@@ -526,8 +526,11 @@ let match_vs_algebra (transport : transport option) ~(doc_name : string)
       routes force the lazy [Digraph] thaw, the indexed routes exercise
       the flat postings planes;
     - XML-GL programs compare rendered result documents;
-    - WG-Log programs run the fixpoint on a fork of each graph and
+    - WG-Log programs run the fixpoint on a fork of each graph, and on
+      a copy of a freshly parsed graph that was never indexed, and
       compare the statistics and the full derived-graph fingerprint.
+      The first two forks start on their parent's index (the frozen one
+      and the loaded one); the third builds its own.
 
     A save or load that raises is a failure in itself — the generator
     only produces documents the store must accept. *)
@@ -549,15 +552,13 @@ let loaded_vs_frozen ~(xml : string) ~(source : string) : verdict =
           with
           | Error e -> failf "snapshot round-trip rejected: %s" e
           | Ok loaded -> (
-            let pair label a b =
+            let pair ?(arms = "frozen-vs-loaded") label a b =
               match a, b with
               | Ok x, Ok y when x = y -> None
               | Error x, Error y when x = y -> None
               | _ ->
                 let s = function Ok _ -> "ok" | Error e -> e in
-                Some
-                  (Printf.sprintf "%s differs frozen-vs-loaded (%s / %s)" label
-                     (s a) (s b))
+                Some (Printf.sprintf "%s differs %s (%s / %s)" label arms (s a) (s b))
             in
             let disagreement =
               match lang with
@@ -568,7 +569,7 @@ let loaded_vs_frozen ~(xml : string) ~(source : string) : verdict =
                         (Gql_core.Gql.run_xmlgl db (Gql_core.Gql.parse_xmlgl source)))
                 in
                 pair "xmlgl result" (run frozen) (run loaded)
-              | `Wglog ->
+              | `Wglog -> (
                 let run (db : Gql_core.Gql.db) =
                   capture (fun () ->
                       let g = Gql_data.Graph.copy db.Gql_core.Gql.graph in
@@ -580,7 +581,17 @@ let loaded_vs_frozen ~(xml : string) ~(source : string) : verdict =
                         stats.nodes_added, stats.edges_added,
                         graph_fingerprint g ))
                 in
-                pair "wglog fixpoint" (run frozen) (run loaded)
+                let on_frozen = run frozen in
+                match pair "wglog fixpoint" on_frozen (run loaded) with
+                | Some _ as d -> d
+                | None ->
+                  let unindexed =
+                    match capture (fun () -> Gql_core.Gql.load_xml_string xml) with
+                    | Ok db -> run db
+                    | Error _ as e -> e
+                  in
+                  pair ~arms:"frozen-vs-never-indexed" "wglog fixpoint" on_frozen
+                    unindexed)
               | `Match | `Unknown ->
                 let routes (db : Gql_core.Gql.db) =
                   let data = db.Gql_core.Gql.graph in

@@ -19,7 +19,10 @@
 
     The only mutation a query can demand — WG-Log's deductive fixpoint —
     happens on a {!fork}: a private copy of the data graph, discarded
-    after the request. *)
+    after the request.  The copy carries the snapshot's frozen index in
+    its slot ({!Gql_data.Graph.copy}), so a fork costs the adjacency
+    copy and no re-freeze; the fork builds its own index only once it
+    has grown. *)
 
 type snapshot = {
   name : string;
@@ -118,6 +121,7 @@ let names t : string list =
   locked t (fun () ->
       Hashtbl.fold (fun k _ acc -> k :: acc) t.table [] |> List.sort compare)
 
-(** A private mutable copy of the snapshot's graph for deductive runs. *)
+(** A private mutable copy of the snapshot's graph for deductive runs,
+    starting on the snapshot's frozen index. *)
 let fork (snap : snapshot) : Gql_data.Graph.t =
   Gql_data.Graph.copy snap.db.Gql_core.Gql.graph

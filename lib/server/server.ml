@@ -174,7 +174,10 @@ let evaluate t (snap : Registry.snapshot) (entry : Qcache.entry) :
     ( Printf.sprintf "lang=xmlgl hits=%d" (List.length result.Gql_xml.Tree.children),
       body )
   | Qcache.Wglog p ->
-    (* deductive semantics mutate: run on a private fork, publish nothing *)
+    (* deductive semantics mutate: run on a private fork, publish
+       nothing.  The fork starts on the snapshot's own frozen index (no
+       re-freeze until its first derived edge); the rebuilt index and
+       the run's green-edge set stay private to this request. *)
     let g = Registry.fork snap in
     let stats = Gql_wglog.Eval.run ~domains g p in
     ( Printf.sprintf "lang=wglog derived_edges=%d" stats.Gql_wglog.Eval.edges_added,

@@ -388,39 +388,64 @@ let determinants (r : Ast.rule) (cnode : int) : int list =
 type skolem_table = (int * int * int list, int) Hashtbl.t
 (** (rule index, construction node, determinant bindings) -> data node *)
 
-let rel_edge_exists data ~src ~dst ~label =
-  List.exists
-    (fun (d, (e : Graph.edge)) ->
-      d = dst && e.Graph.name = label && e.Graph.kind <> Graph.Attribute)
-    (Graph.out data src)
+(* Green-edge existence.  A green edge into a value rectangle is a slot
+   ([Attribute]) edge; any other green edge is met by a non-[Attribute]
+   edge of the same name.  So the test asks for (src, dst, name,
+   is-attribute) in a hash set rather than scanning [src]'s out-list,
+   which grows with every edge a rule derives from it.
 
-let slot_edge_exists data ~src ~dst ~label =
-  List.exists
-    (fun (d, (e : Graph.edge)) ->
-      d = dst && e.Graph.name = label && e.Graph.kind = Graph.Attribute)
-    (Graph.out data src)
+   One set belongs to one [run] and its graph.  It loads a source node's
+   out-list the first time that node is asked about, and
+   [apply_construction] adds every edge it links, so it never lags the
+   graph it describes. *)
+module Edge_set = Hashtbl.Make (struct
+  type t = int * int * string * bool
+
+  let equal (s, d, n, a) (s', d', n', a') =
+    s = s' && d = d' && a = a' && String.equal n n'
+
+  let hash = Hashtbl.hash
+end)
+
+type edge_set = {
+  loaded : (int, unit) Hashtbl.t;  (** source nodes already read *)
+  edges : unit Edge_set.t;
+}
+
+let edge_set () = { loaded = Hashtbl.create 64; edges = Edge_set.create 256 }
+
+let is_slot_edge (r : Ast.rule) (e : Ast.edge) =
+  match r.Ast.nodes.(e.e_dst).n_kind with
+  | Ast.Value _ -> true
+  | Ast.Entity _ -> false
+
+let edge_exists es data ~src ~dst ~label ~slot =
+  if not (Hashtbl.mem es.loaded src) then begin
+    Hashtbl.replace es.loaded src ();
+    List.iter
+      (fun (d, (e : Graph.edge)) ->
+        Edge_set.replace es.edges
+          (src, d, e.Graph.name, e.Graph.kind = Graph.Attribute)
+          ())
+      (Graph.out data src)
+  end;
+  Edge_set.mem es.edges (src, dst, label, slot)
 
 (* G-Log semantics: the green part must EXIST for every red embedding;
    creation is only the repair action.  This check attempts to satisfy
    the construction nodes with existing graph nodes (anchored search —
    candidates come from edges whose other endpoint is already resolved),
    making rule application idempotent across runs. *)
-let green_part_exists (data : Graph.t) (r : Ast.rule) (emb : int array) : bool =
+let green_part_exists (es : edge_set) (data : Graph.t) (r : Ast.rule)
+    (emb : int array) : bool =
   let cnodes = Ast.construct_nodes r in
   if cnodes = [] then
     (* edge-only green part: existence = all green edges already there *)
     List.for_all
       (fun (e : Ast.edge) ->
         e.e_role <> Ast.Construct
-        ||
-        let src = emb.(e.e_src) and dst = emb.(e.e_dst) in
-        let is_slot =
-          match r.Ast.nodes.(e.e_dst).n_kind with
-          | Ast.Value _ -> true
-          | Ast.Entity _ -> false
-        in
-        if is_slot then slot_edge_exists data ~src ~dst ~label:e.e_label
-        else rel_edge_exists data ~src ~dst ~label:e.e_label)
+        || edge_exists es data ~src:emb.(e.e_src) ~dst:emb.(e.e_dst)
+             ~label:e.e_label ~slot:(is_slot_edge r e))
       r.Ast.edges
   else begin
     let green_edges =
@@ -434,13 +459,7 @@ let green_part_exists (data : Graph.t) (r : Ast.rule) (emb : int array) : bool =
     let edge_ok (e : Ast.edge) =
       match resolve e.e_src, resolve e.e_dst with
       | Some src, Some dst ->
-        let is_slot =
-          match r.Ast.nodes.(e.e_dst).n_kind with
-          | Ast.Value _ -> true
-          | Ast.Entity _ -> false
-        in
-        if is_slot then slot_edge_exists data ~src ~dst ~label:e.e_label
-        else rel_edge_exists data ~src ~dst ~label:e.e_label
+        edge_exists es data ~src ~dst ~label:e.e_label ~slot:(is_slot_edge r e)
       | _ -> true (* endpoint not yet assigned; checked later *)
     in
     let candidates c =
@@ -501,9 +520,9 @@ let green_part_exists (data : Graph.t) (r : Ast.rule) (emb : int array) : bool =
 
 (** Apply the construction part for one embedding.  Returns the number of
     (nodes, edges) added. *)
-let apply_construction (data : Graph.t) (skolems : skolem_table)
-    ~(rule_idx : int) ~(gen : int) (r : Ast.rule) (emb : int array) :
-    int * int =
+let apply_construction (es : edge_set) (data : Graph.t)
+    (skolems : skolem_table) ~(rule_idx : int) ~(gen : int) (r : Ast.rule)
+    (emb : int array) : int * int =
   let nodes_added = ref 0 and edges_added = ref 0 in
   let dets = Hashtbl.create 4 in
   let det_of c =
@@ -539,26 +558,14 @@ let apply_construction (data : Graph.t) (skolems : skolem_table)
     (fun (e : Ast.edge) ->
       if e.e_role = Ast.Construct then begin
         let src = resolve e.e_src and dst = resolve e.e_dst in
-        let is_slot =
-          match r.Ast.nodes.(e.e_dst).n_kind with
-          | Ast.Value _ -> true
-          | Ast.Entity _ -> false
-        in
-        let exists =
-          if is_slot then
-            List.exists
-              (fun (d, (de : Graph.edge)) ->
-                d = dst && de.Graph.name = e.e_label
-                && de.Graph.kind = Graph.Attribute)
-              (Graph.out data src)
-          else rel_edge_exists data ~src ~dst ~label:e.e_label
-        in
-        if not exists then begin
+        let slot = is_slot_edge r e in
+        if not (edge_exists es data ~src ~dst ~label:e.e_label ~slot) then begin
           let edge =
-            if is_slot then Graph.attr_edge e.e_label
+            if slot then Graph.attr_edge e.e_label
             else Graph.rel_edge ~gen e.e_label
           in
           Graph.link data ~src ~dst edge;
+          Edge_set.replace es.edges (src, dst, e.e_label, slot) ();
           incr edges_added
         end
       end)
@@ -676,11 +683,17 @@ let delta_seeds (data : Graph.t) (cq : compiled_query) ~(last_gen : int) :
     [use_index] (default on) freezes an index for the *unseeded*
     matching rounds (round 1, naive strategy, regex rules); seeded
     delta completion already tracks the delta and would pay a rebuild
-    per round for nothing.  The {!Index.cache} makes consecutive rules
-    in a round share one build, and rules whose query footprint is
-    disjoint from everything the program can construct
+    per round for nothing.  Indexes come from {!Index.refresh}, so the
+    graph's frozen-index slot serves them: a fork of a snapshot starts
+    on the snapshot's own index (no build until the first derived
+    edge), consecutive rules in a round share one build, and the last
+    build stays in the slot after the run.  Rules whose query footprint
+    is disjoint from everything the program can construct
     ({!stale_index_ok}) keep reusing the pre-loop index instead of
     rebuilding it every round.
+
+    Green-part existence is checked against a hashed edge set owned by
+    this call ([edge_set]); it is never shared between runs.
 
     [domains] parallelises the matching side of each round — the
     unseeded searches and the completion of the previous round's delta
@@ -702,10 +715,10 @@ let run ?(strategy = `Semi_naive) ?(use_index = true) ?(max_rounds = 1000)
     List.map (fun (r, _) -> stale_index_ok ~adds_nodes ~added_labels r) compiled
   in
   let skolems : skolem_table = Hashtbl.create 64 in
-  let icache = Index.cache () in
+  let es = edge_set () in
   let base_index =
     (* fresh at round 1; still exact in later rounds for stale-ok rules *)
-    if use_index then Some (Index.refresh icache data) else None
+    if use_index then Some (Index.refresh data) else None
   in
   let total_emb = ref 0 and total_nodes = ref 0 and total_edges = ref 0 in
   let round = ref 0 in
@@ -723,7 +736,7 @@ let run ?(strategy = `Semi_naive) ?(use_index = true) ?(max_rounds = 1000)
             let index =
               if not use_index then None
               else if !round = 1 || stale_ok then base_index
-              else Some (Index.refresh icache data)
+              else Some (Index.refresh data)
             in
             query_embeddings ?index ~domains data r cq
           else begin
@@ -761,9 +774,9 @@ let run ?(strategy = `Semi_naive) ?(use_index = true) ?(max_rounds = 1000)
         total_emb := !total_emb + List.length embeddings;
         List.iter
           (fun emb ->
-            if not (green_part_exists data r emb) then begin
+            if not (green_part_exists es data r emb) then begin
               let nn, ne =
-                apply_construction data skolems ~rule_idx ~gen r emb
+                apply_construction es data skolems ~rule_idx ~gen r emb
               in
               total_nodes := !total_nodes + nn;
               total_edges := !total_edges + ne;

@@ -289,20 +289,63 @@ let test_sanity_nonempty () =
   check "no-menu matches" true (count idx_r rest (no_menu_rule ()) > 0);
   check "path matches" true (count idx_w web (path_rule ()) > 0)
 
-(* --- index cache ------------------------------------------------------ *)
+(* --- the graph's frozen-index slot --------------------------------------- *)
 
 let test_cache_refresh () =
   let open Gql_data in
   let data = Gql_workload.Gen.restaurants 10 in
-  let c = Index.cache () in
-  let i1 = Index.refresh c data in
-  let i2 = Index.refresh c data in
-  check "cached while unchanged" true (i1 == i2);
+  let i1 = Index.refresh data in
+  let i2 = Index.refresh data in
+  check "kept in the slot while unchanged" true (i1 == i2);
+  check "build fills the slot" true
+    (let i = Index.build data in
+     i == Index.refresh data);
   let n = Graph.add_complex data "Restaurant" in
   ignore n;
-  let i3 = Index.refresh c data in
+  let i3 = Index.refresh data in
   check "rebuilt after growth" true (not (i1 == i3));
-  check_int "sees the new node" (Graph.n_nodes data) (Index.n_nodes i3)
+  check_int "sees the new node" (Graph.n_nodes data) (Index.n_nodes i3);
+  check "rebuild replaces the slot" true (i3 == Index.refresh data)
+
+(* A copy carries its parent's index: the index describes content, and a
+   fresh copy has its parent's content.  The first link on the copy
+   makes it stale for the copy only. *)
+let test_copy_shares_index () =
+  let open Gql_data in
+  let data = Gql_workload.Gen.restaurants 10 in
+  let parent = Index.refresh data in
+  let fork = Graph.copy data in
+  check "copy reuses the parent's index" true (Index.refresh fork == parent);
+  check "the index still names the parent graph" true
+    (Index.graph (Index.refresh fork) == data);
+  let r = List.hd (Graph.nodes_labelled fork "Restaurant") in
+  Graph.link fork ~src:r ~dst:r (Graph.rel_edge "likes");
+  let forked = Index.refresh fork in
+  check "one link on the copy rebuilds" true (not (forked == parent));
+  check_int "rebuilt index sees the link" (Graph.n_edges fork)
+    (Index.n_edges forked);
+  check "the parent keeps its own index" true (Index.refresh data == parent);
+  check_int "parent index unchanged" (Graph.n_edges data) (Index.n_edges parent)
+
+(* Distinct regular-path automata each add memo entries keyed by a fresh
+   uid; the memo is dropped whole at its budget and answers stay put. *)
+let test_path_memo_bounded () =
+  let open Gql_data in
+  let db = Gql_core.Gql.of_document (Gql_workload.Gen.bibliography 300) in
+  let q = Gql_workload.Queries.m2_src in
+  let first = fst (Gql_core.Gql.run_match_text db q) in
+  let idx = Gql_core.Gql.index db in
+  let peak = ref 0 and resets = ref 0 and last = ref 0 in
+  for _ = 1 to 60 do
+    let body = fst (Gql_core.Gql.run_match_text db q) in
+    check "same answer" true (body = first);
+    let ints = Index.path_memo_ints idx in
+    if ints < !last then incr resets;
+    last := ints;
+    peak := max !peak ints
+  done;
+  check "memo was reset" true (!resets > 0);
+  check "memo within budget" true (!peak <= Index.path_budget idx)
 
 (* --- interned symbol plane ------------------------------------------- *)
 
@@ -363,5 +406,9 @@ let () =
       ( "symbols",
         [ Alcotest.test_case "interned label plane" `Quick test_symbol_plane ] );
       ( "cache",
-        [ Alcotest.test_case "refresh" `Quick test_cache_refresh ] );
+        [
+          Alcotest.test_case "refresh" `Quick test_cache_refresh;
+          Alcotest.test_case "copy shares the index" `Quick test_copy_shares_index;
+          Alcotest.test_case "path memo bounded" `Quick test_path_memo_bounded;
+        ] );
     ]

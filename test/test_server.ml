@@ -466,6 +466,31 @@ let test_reload_invalidates () =
 
 (* --- concurrent determinism (the 4-domain stress case) -------------------- *)
 
+(* A regular-path WG-Log rule served from a loaded snapshot: every RUN
+   forks the one snapshot, and every fork starts on its shared index and
+   path memo. *)
+let path_rule_src =
+  {|wglog
+rule
+  node b bib
+  node n last-name
+  pathedge b .+ n
+  cedge b reaches n
+end
+|}
+
+let load_bib_snapshot server =
+  let reg = Server.registry server in
+  let bib = Option.get (Registry.find reg "bibliography") in
+  let path = Filename.temp_file "gql-test-bib" ".snap" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      ignore (Gql_data.Store.save ~path bib.Registry.index);
+      match Registry.load_snapshot reg ~name:"bibsnap" path with
+      | Ok snap -> snap
+      | Error m -> failwith m)
+
 let test_concurrent_determinism () =
   with_socket_server ~workers:4 (fun server path ->
       (* expected bodies from single-threaded direct evaluation *)
@@ -475,6 +500,14 @@ let test_concurrent_determinism () =
             (q.sq_name, direct_body server q))
           Gql_workload.Queries.server_suite
       in
+      let bibsnap = load_bib_snapshot server in
+      let path_stats =
+        Gql_wglog.Eval.run (Registry.fork bibsnap)
+          (Gql_core.Gql.parse_wglog path_rule_src)
+      in
+      check_bool "path rule derives edges" true
+        (path_stats.Gql_wglog.Eval.edges_added > 0);
+      let path_expected = Server.wglog_stats_line path_stats in
       let n_threads = 8 and per_thread = 30 in
       let failures = ref [] in
       let mu = Mutex.create () in
@@ -497,7 +530,21 @@ let test_concurrent_determinism () =
                   Mutex.lock mu;
                   failures := Printf.sprintf "thread %d: %s: %s" k q.sq_name m :: !failures;
                   Mutex.unlock mu)
-              mix)
+              mix;
+            (* a distinct source per request, so no cache answers it *)
+            for i = 1 to 4 do
+              let src = Printf.sprintf "# client %d run %d\n%s" k i path_rule_src in
+              match Client.run c ~doc:"bibsnap" (`Source src) with
+              | Ok (_, body) when body = path_expected -> ()
+              | Ok _ ->
+                Mutex.lock mu;
+                failures := Printf.sprintf "thread %d: path rule diverged" k :: !failures;
+                Mutex.unlock mu
+              | Error m ->
+                Mutex.lock mu;
+                failures := Printf.sprintf "thread %d: path rule: %s" k m :: !failures;
+                Mutex.unlock mu
+            done)
       in
       let threads = List.init n_threads (fun k -> Thread.create (client_thread k) ()) in
       List.iter Thread.join threads;

@@ -276,6 +276,69 @@ let test_naive_equals_seminaive () =
   check_int "same closure naive/semi-naive" (count_links g1) (count_links g2);
   check_int "same node count" (Graph.n_nodes g1) (Graph.n_nodes g2)
 
+(* Green-edge existence tells a slot edge from a relation edge of the
+   same name: a [Rel] "tag" edge does not satisfy a green slot edge, nor
+   an [Attribute] "tag" edge a green relation edge. *)
+let test_slot_and_rel_distinct () =
+  let g = Graph.create () in
+  let r = Graph.add_complex g "Restaurant" in
+  let v = Graph.add_atom g (Value.string "x") in
+  let m = Graph.add_complex g "Menu" in
+  Graph.link g ~src:r ~dst:v (Graph.rel_edge "tag");
+  Graph.link g ~src:r ~dst:m (Graph.attr_edge "tag");
+  let p () =
+    Gql_lang.Wglog_text.parse_program
+      {|wglog
+rule
+  node r Restaurant
+  const v "x"
+  node m Menu
+  edge r tag v
+  edge r tag m
+  cedge r tag v
+  cedge r tag m
+end
+|}
+  in
+  let stats = Eval.run g (p ()) in
+  check_int "both green edges added" 2 stats.Eval.edges_added;
+  let kinds dst =
+    List.filter_map
+      (fun (d, (e : Graph.edge)) -> if d = dst then Some e.Graph.kind else None)
+      (Graph.out g r)
+    |> List.sort compare
+  in
+  check "slot added beside the rel edge" true
+    (kinds v = List.sort compare [ Graph.Rel; Graph.Attribute ]);
+  check "rel added beside the slot edge" true
+    (kinds m = List.sort compare [ Graph.Rel; Graph.Attribute ]);
+  check_int "second run adds nothing" 0 (Eval.run g (p ())).Eval.edges_added
+
+(* A run on a saturated graph, or on a fork of it (which starts on the
+   parent's index), derives nothing. *)
+let test_saturated_rerun () =
+  let p () =
+    Gql_lang.Wglog_text.parse_program
+      {|wglog
+rule
+  node a Document
+  node b Document
+  pathedge a link+ b
+  cedge a reaches b
+end
+|}
+  in
+  let g = chain_graph 8 in
+  ignore (Index.refresh g);
+  let first = Eval.run g (p ()) in
+  check_int "closure derived" 28 first.Eval.edges_added;
+  let size = (Graph.n_nodes g, Graph.n_edges g) in
+  let again = Eval.run g (p ()) in
+  check_int "rerun adds no edges" 0 again.Eval.edges_added;
+  check "graph unchanged" true ((Graph.n_nodes g, Graph.n_edges g) = size);
+  let fork = Graph.copy g in
+  check_int "fork adds no edges" 0 (Eval.run fork (p ())).Eval.edges_added
+
 let test_skolem_per_binding () =
   (* a construction node connected to a query node gets one instance per
      binding *)
@@ -416,6 +479,9 @@ let () =
           Alcotest.test_case "transitive closure" `Quick test_transitive_closure;
           Alcotest.test_case "naive = semi-naive" `Quick test_naive_equals_seminaive;
           Alcotest.test_case "skolem per binding" `Quick test_skolem_per_binding;
+          Alcotest.test_case "slot and rel edges distinct" `Quick
+            test_slot_and_rel_distinct;
+          Alcotest.test_case "saturated rerun" `Quick test_saturated_rerun;
           Alcotest.test_case "max rounds guard" `Quick test_max_rounds_guard;
           Alcotest.test_case "invalid rejected" `Quick test_invalid_program_rejected;
           Alcotest.test_case "collect edge rejected" `Quick
