@@ -39,6 +39,13 @@ let gen_doc rng : string =
 
 (* --- XML-GL programs -------------------------------------------------- *)
 
+(* Content regexes over the generated text (integers below 1000):
+   classes, negation, alternation and star, so the compiled automata
+   of every route meet the same shapes. *)
+let content_res =
+  [| "[1-3][0-9]*"; "(4|7).*"; "[^0-5]"; "\\d(0|5)"; "(1|2)*9"; "[2468]0*[13579]?";
+     "5|6[0-4]" |]
+
 let gen_xmlgl rng : string =
   let open Gql_xmlgl.Ast in
   let b = Build.create () in
@@ -57,13 +64,14 @@ let gen_xmlgl rng : string =
   let content =
     if Prng.int rng 2 = 0 then begin
       let pred =
-        match Prng.int rng 4 with
+        match Prng.int rng 5 with
         | 0 -> None
         | 1 ->
           Some (Compare (Lt, Self, Const (Gql_data.Value.int (Prng.int rng 1000))))
         | 2 ->
           Some (Compare (Ge, Self, Const (Gql_data.Value.int (Prng.int rng 1000))))
-        | _ -> Some (Contains_str (Self, string_of_int (Prng.int rng 10)))
+        | 3 -> Some (Contains_str (Self, string_of_int (Prng.int rng 10)))
+        | _ -> Some (Matches (Self, Prng.pick rng content_res))
       in
       let c = Build.q_content b ?pred () in
       Build.qedge b !last c;

@@ -9,19 +9,46 @@
     literal; [\\d], [\\w], [\\s] are provided as conveniences.
 
     A pattern by default must match the whole subject ({!matches});
-    {!search} finds a match anywhere in the subject.  Matching is
-    NFA-based (linear time), never backtracking. *)
+    {!search} finds a match anywhere in the subject.  Matching never
+    backtracks.  {!compile} turns the Thompson NFAs of the pattern (one
+    anchored, one floating) into DFAs by subset construction over byte
+    equivalence classes: the 256 byte values are partitioned by which of
+    the pattern's character classes accept them (case folding included),
+    so the transition table has one column per class, not per byte.  A
+    match is then one table lookup per subject byte, and the compiled
+    value is immutable, so domains share it without locks.
+
+    Subset construction is exponential in the worst case, so it stops
+    at {!dfa_state_budget} states; an automaton that would exceed it
+    keeps the NFA and runs the subset simulation instead (linear time,
+    slower per byte).  The budget is what bounds compile time on a
+    hostile pattern: each DFA state costs one NFA step per byte class.
+    Compile once per query, never per candidate. *)
 
 type cls =
   | Any  (** [.] — any character *)
   | Lit of char
   | Set of { ranges : (char * char) list; negated : bool }
 
+(* A DFA over byte classes.  State 0 is the dead state (the empty NFA
+   set), state 1 the start; [trans.(q * n_classes + c)] is the successor
+   of [q] on any byte of class [c]. *)
+type dfa = {
+  classes : Bytes.t;  (** byte -> class id *)
+  n_classes : int;
+  trans : int array;
+  final : bool array;  (** accepting states *)
+}
+
+type engine =
+  | Dfa of dfa
+  | Sim of char Nfa.t  (** over the state budget: subset simulation *)
+
 type t = {
   pattern : string;
   case_insensitive : bool;
-  anchored : char Nfa.t;  (** whole-string automaton *)
-  floating : char Nfa.t;  (** [.°  re .°] automaton for {!search} *)
+  anchored : engine;  (** whole-string automaton *)
+  floating : engine;  (** [.* re .*] automaton for {!search} *)
   ast : cls Syntax.t;
 }
 
@@ -229,12 +256,137 @@ let cls_matches ~ci cls c =
     in
     if negated then not inside else inside
 
+(* ------------------------------------------------------------------ *)
+(* Determinisation.                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let dfa_state_budget = 1024
+
+(* Bytes accepted by exactly the same character classes of the pattern
+   are interchangeable to every transition; [reps.(c)] is one byte of
+   class [c]. *)
+let byte_classes ~ci (ast : cls Syntax.t) : Bytes.t * char array =
+  let clss = Array.of_list (List.sort_uniq compare (Syntax.symbols ast)) in
+  let ids = Hashtbl.create 16 in
+  let reps = ref [] in
+  let classes =
+    Bytes.init 256 (fun b ->
+        let c = Char.chr b in
+        let signature =
+          String.init (Array.length clss) (fun i ->
+              if cls_matches ~ci clss.(i) c then '1' else '0')
+        in
+        match Hashtbl.find_opt ids signature with
+        | Some id -> Char.chr id
+        | None ->
+          let id = Hashtbl.length ids in
+          Hashtbl.add ids signature id;
+          reps := c :: !reps;
+          Char.chr id)
+  in
+  (classes, Array.of_list (List.rev !reps))
+
+(* A DFA state is the sorted array of the (ε-closed) NFA states it
+   stands for; sets stay sparse, so the work per DFA state tracks the
+   set's size, not the NFA's.  The hash reads every element
+   ([Hashtbl.hash] stops after the first few). *)
+module State_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b = a = b
+  let hash a = Array.fold_left (fun h q -> (h * 31) + q) 0 a land max_int
+end)
+
+exception Over_budget
+
+(* Subset construction; [None] when the DFA would exceed the budget.
+   With [absorbing] (the floating automaton, whose trailing [.*] keeps
+   every continuation of an accepted prefix accepted) all accepting
+   sets collapse into one state that loops on every byte. *)
+let determinise ~absorbing (nfa : char Nfa.t) (classes, reps) : dfa option =
+  let n_classes = Array.length reps in
+  let preds, succs = nfa.Nfa.delta in
+  let mark = Bytes.make nfa.Nfa.n_states '\000' in
+  (* ε-close [seeds] (unmarked NFA states) into a sorted state array *)
+  let close seeds =
+    let out = ref [] in
+    let rec visit q =
+      if Bytes.get mark q = '\000' then begin
+        Bytes.set mark q '\001';
+        out := q :: !out;
+        List.iter visit nfa.Nfa.eps.(q)
+      end
+    in
+    List.iter visit seeds;
+    let set = Array.of_list !out in
+    Array.iter (fun q -> Bytes.set mark q '\000') set;
+    Array.sort compare set;
+    set
+  in
+  let step set c =
+    close
+      (Array.fold_left
+         (fun acc q ->
+           List.fold_left2
+             (fun acc f q' -> if f c then q' :: acc else acc)
+             acc preds.(q) succs.(q))
+         [] set)
+  in
+  let ids = State_tbl.create 64 in
+  let pending = Queue.create () in
+  let accepting set = Array.mem nfa.Nfa.accept set in
+  let intern set =
+    let set = if absorbing && accepting set then [| nfa.Nfa.accept |] else set in
+    match State_tbl.find_opt ids set with
+    | Some id -> id
+    | None ->
+      let id = State_tbl.length ids in
+      if id = dfa_state_budget then raise_notrace Over_budget;
+      State_tbl.add ids set id;
+      Queue.add (id, set) pending;
+      id
+  in
+  let rows = ref [] in
+  match
+    ignore (intern [||]);
+    ignore (intern (close [ nfa.Nfa.start ]));
+    while not (Queue.is_empty pending) do
+      let id, set = Queue.pop pending in
+      let final = accepting set in
+      let row =
+        if absorbing && final then Array.make n_classes id
+        else Array.map (fun rep -> intern (step set rep)) reps
+      in
+      rows := (id, row, final) :: !rows
+    done
+  with
+  | exception Over_budget -> None
+  | () ->
+    let n = State_tbl.length ids in
+    let trans = Array.make (n * n_classes) 0 and final = Array.make n false in
+    List.iter
+      (fun (id, row, acc) ->
+        Array.blit row 0 trans (id * n_classes) n_classes;
+        final.(id) <- acc)
+      !rows;
+    Some { classes; n_classes; trans; final }
+
+let engine ~absorbing nfa classes =
+  match determinise ~absorbing nfa classes with Some d -> Dfa d | None -> Sim nfa
+
+let next d q c = d.trans.((q * d.n_classes) + Char.code (Bytes.get d.classes (Char.code c)))
+
 let compile ?(case_insensitive = false) pattern =
   let ast = parse pattern in
   let pred cls c = cls_matches ~ci:case_insensitive cls c in
-  let anchored = Nfa.compile pred ast in
+  let classes = byte_classes ~ci:case_insensitive ast in
   let dot_star = Syntax.star (Syntax.sym Any) in
-  let floating = Nfa.compile pred Syntax.(seq dot_star (seq ast dot_star)) in
+  let anchored = engine ~absorbing:false (Nfa.compile pred ast) classes in
+  let floating =
+    engine ~absorbing:true
+      (Nfa.compile pred Syntax.(seq dot_star (seq ast dot_star)))
+      classes
+  in
   { pattern; case_insensitive; anchored; floating; ast }
 
 let compile_opt ?case_insensitive pattern =
@@ -242,14 +394,38 @@ let compile_opt ?case_insensitive pattern =
   | t -> Some t
   | exception Parse_error _ -> None
 
-let matches t subject = Nfa.run t.anchored (String.to_seq subject)
-let search t subject = Nfa.run t.floating (String.to_seq subject)
+let matches t subject =
+  match t.anchored with
+  | Sim nfa -> Nfa.run nfa (String.to_seq subject)
+  | Dfa d ->
+    let n = String.length subject in
+    let rec go q i =
+      if i = n then d.final.(q)
+      else q <> 0 && go (next d q subject.[i]) (i + 1)
+    in
+    go 1 0
+
+(* The floating automaton's trailing [.*] makes acceptance absorbing, so
+   the first accepting state decides. *)
+let search t subject =
+  match t.floating with
+  | Sim nfa -> Nfa.run nfa (String.to_seq subject)
+  | Dfa d ->
+    let n = String.length subject in
+    let rec go q i = d.final.(q) || (i < n && go (next d q subject.[i]) (i + 1)) in
+    go 1 0
+
+(** Both automata are DFAs (false when one is over the state budget and
+    runs the subset simulation). *)
+let deterministic t =
+  match t.anchored, t.floating with Dfa _, Dfa _ -> true | (Dfa _ | Sim _), _ -> false
+
 let pattern t = t.pattern
 let ast t = t.ast
 
 (* ------------------------------------------------------------------ *)
 (* Reference matcher (Brzozowski derivatives) — used by property tests *)
-(* to cross-check the NFA engine on random patterns and subjects.      *)
+(* to cross-check both engines on random patterns and subjects.        *)
 (* ------------------------------------------------------------------ *)
 
 let rec derive ~ci c (r : cls Syntax.t) : cls Syntax.t =

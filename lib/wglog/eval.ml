@@ -41,10 +41,9 @@ let check_or_raise (p : Ast.program) =
   | [] -> ()
   | errs -> invalid "%s" (String.concat "; " errs)
 
-(* Conditions are compiled once per rule-node spec ([node_pred] below),
-   not once per candidate node: a regex condition used to rebuild its
-   Chre automaton for every node it tested, which dominated rules that
-   fall back to full rematch each fixpoint round. *)
+(* Conditions are compiled once per rule node, in [compile_query]
+   ([node_preds]), never per candidate or per embedding: building a
+   regex's automaton costs far more than running it. *)
 let compile_condition (c : Ast.condition) : Value.t -> bool =
   match c with
   | Ast.Cmp (op, rhs) ->
@@ -61,8 +60,6 @@ let compile_condition (c : Ast.condition) : Value.t -> bool =
     let re = Gql_regex.Chre.compile pattern in
     fun v -> Gql_regex.Chre.search re (Value.to_string v)
 
-let condition_holds (c : Ast.condition) (v : Value.t) = compile_condition c v
-
 (* --- query-part compilation ---------------------------------------- *)
 
 (* A data edge "carries" a WG-Log label when its name matches; Attribute
@@ -75,10 +72,13 @@ type neg_check = {
   nc_anchor : int;  (** rule node id of the bound endpoint *)
   nc_dir : [ `Out | `In ];  (** edge direction relative to the anchor *)
   nc_label : string;
-  nc_spec : Ast.node;  (** what the unconstrained endpoint would match *)
+  nc_free : int;  (** rule node id of the unconstrained endpoint *)
 }
 
 type compiled_query = {
+  node_preds : (int -> Graph.node_kind -> bool) array;
+      (** rule node id -> its compiled node test; the negation checks
+          and the green-part search share them with [pattern] *)
   pattern : (Graph.node_kind, Graph.edge) Gql_graph.Homo.pattern;
   query_ids : int array;  (** pattern position -> rule node id *)
   node_specs : Ast.node array;  (** pattern position -> rule node *)
@@ -92,8 +92,9 @@ type compiled_query = {
       (** GraphLog negation with a free endpoint: NOT EXISTS any such
           neighbour (the crossed edge universally quantifies the
           otherwise-unconstrained node) *)
-  global_negs : (string * Ast.node * Ast.node) list;
-      (** both endpoints free: no matching edge anywhere in the graph *)
+  global_negs : (string * int * int) list;
+      (** (label, src, dst rule node ids), both endpoints free: no
+          matching edge anywhere in the graph *)
 }
 
 let node_pred (nd : Ast.node) : int -> Graph.node_kind -> bool =
@@ -146,7 +147,8 @@ let compile_query (r : Ast.rule) : compiled_query =
   let query_ids = Array.of_list qids in
   let pos_of = Hashtbl.create 8 in
   Array.iteri (fun pos qid -> Hashtbl.replace pos_of qid pos) query_ids;
-  let p_nodes = Array.map (fun qid -> node_pred r.Ast.nodes.(qid)) query_ids in
+  let node_preds = Array.map node_pred r.Ast.nodes in
+  let p_nodes = Array.map (fun qid -> node_preds.(qid)) query_ids in
   let has_regex = ref false in
   let neg_checks = ref [] in
   let global_negs = ref [] in
@@ -158,20 +160,18 @@ let compile_query (r : Ast.rule) : compiled_query =
         else
           match e.e_mode with
           | Ast.Negated when free_neg e.e_src && free_neg e.e_dst ->
-            global_negs :=
-              (e.e_label, r.Ast.nodes.(e.e_src), r.Ast.nodes.(e.e_dst))
-              :: !global_negs;
+            global_negs := (e.e_label, e.e_src, e.e_dst) :: !global_negs;
             None
           | Ast.Negated when free_neg e.e_src ->
             neg_checks :=
               { nc_anchor = e.e_dst; nc_dir = `In; nc_label = e.e_label;
-                nc_spec = r.Ast.nodes.(e.e_src) }
+                nc_free = e.e_src }
               :: !neg_checks;
             None
           | Ast.Negated when free_neg e.e_dst ->
             neg_checks :=
               { nc_anchor = e.e_src; nc_dir = `Out; nc_label = e.e_label;
-                nc_spec = r.Ast.nodes.(e.e_dst) }
+                nc_free = e.e_dst }
               :: !neg_checks;
             None
           | _ ->
@@ -211,6 +211,7 @@ let compile_query (r : Ast.rule) : compiled_query =
       r.Ast.edges
   in
   {
+    node_preds;
     pattern = { Gql_graph.Homo.p_nodes; p_edges };
     query_ids;
     node_specs = Array.map (fun qid -> r.Ast.nodes.(qid)) query_ids;
@@ -281,8 +282,8 @@ let specialised_pattern (idx : Index.t) (cq : compiled_query) :
 
 let global_negs_ok ?index (data : Graph.t) (cq : compiled_query) =
   List.for_all
-    (fun (label, src_spec, dst_spec) ->
-      let sp = node_pred src_spec and dp = node_pred dst_spec in
+    (fun (label, src_node, dst_node) ->
+      let sp = cq.node_preds.(src_node) and dp = cq.node_preds.(dst_node) in
       match index with
       | Some idx ->
         (* one bucket probe instead of an all-edges sweep *)
@@ -312,8 +313,7 @@ let neg_checks_ok ?index (data : Graph.t) (cq : compiled_query)
       let anchor = full.(nc.nc_anchor) in
       anchor < 0
       ||
-      let spec = node_pred nc.nc_spec in
-      let hit m = spec m (Graph.kind data m) in
+      let hit m = cq.node_preds.(nc.nc_free) m (Graph.kind data m) in
       (match index with
       | Some idx ->
         let set =
@@ -437,7 +437,7 @@ let edge_exists es data ~src ~dst ~label ~slot =
    candidates come from edges whose other endpoint is already resolved),
    making rule application idempotent across runs. *)
 let green_part_exists (es : edge_set) (data : Graph.t) (r : Ast.rule)
-    (emb : int array) : bool =
+    (cq : compiled_query) (emb : int array) : bool =
   let cnodes = Ast.construct_nodes r in
   if cnodes = [] then
     (* edge-only green part: existence = all green edges already there *)
@@ -502,7 +502,7 @@ let green_part_exists (es : edge_set) (data : Graph.t) (r : Ast.rule)
         | None -> false (* floating construction node: cannot verify *)
         | Some c ->
           let rest = List.filter (fun x -> x <> c) pending in
-          let spec = node_pred r.Ast.nodes.(c) in
+          let spec = cq.node_preds.(c) in
           let cands = Option.value (candidates c) ~default:[] in
           List.exists
             (fun cand ->
@@ -774,7 +774,7 @@ let run ?(strategy = `Semi_naive) ?(use_index = true) ?(max_rounds = 1000)
         total_emb := !total_emb + List.length embeddings;
         List.iter
           (fun emb ->
-            if not (green_part_exists es data r emb) then begin
+            if not (green_part_exists es data r cq emb) then begin
               let nn, ne =
                 apply_construction es data skolems ~rule_idx ~gen r emb
               in

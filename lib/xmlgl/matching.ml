@@ -25,6 +25,37 @@ open Gql_data
 type binding = int array
 (** [b.(q)] = data node bound to query node [q]. *)
 
+(** A name test with its regex compiled. *)
+type name_test =
+  | Exact of string
+  | Any_name
+  | Name_re of Gql_regex.Chre.t
+
+(** One query node's candidate tests with every regex compiled: built
+    once per query by {!compile}, applied per candidate. *)
+type node_test = {
+  qnode : Ast.qnode;
+  name : name_test option;  (** [None] for circles *)
+  local : Predicate.compiled option;
+      (** the local predicate, pushed into candidate selection *)
+}
+
+let node_test (qn : Ast.qnode) : node_test =
+  let name =
+    match qn.q_kind with
+    | Ast.Q_elem (Ast.Exact n) -> Some (Exact n)
+    | Ast.Q_elem Ast.Any_name -> Some Any_name
+    | Ast.Q_elem (Ast.Name_re pattern) ->
+      Some (Name_re (Gql_regex.Chre.compile pattern))
+    | Ast.Q_content | Ast.Q_attr -> None
+  in
+  let local =
+    match qn.q_pred with
+    | Some p when Predicate.is_local p -> Some (Predicate.compile p)
+    | Some _ | None -> None
+  in
+  { qnode = qn; name; local }
+
 type compiled = {
   query : Ast.query;
   pattern : (Graph.node_kind, Graph.edge) Gql_graph.Homo.pattern;
@@ -32,13 +63,14 @@ type compiled = {
       (** query node -> pattern node, or -1 for nodes that exist only as
           targets of [Absent] edges (they never bind) *)
   pat_to_query : int array;  (** pattern node -> query node *)
+  node_tests : node_test array;  (** query node -> its compiled tests *)
   value_join_groups : int list list;
       (** pattern nodes that must agree on value *)
-  absent_checks : (int * Ast.qnode) list;
-      (** (pattern node of src, absent child spec) *)
+  absent_checks : (int * (int -> Graph.node_kind -> bool)) list;
+      (** (pattern node of src, predicate of the absent child spec) *)
   ordered_groups : (int * int list) list;
       (** (src pattern node, dst pattern nodes in pattern order) *)
-  cross_preds : (int * Ast.predicate) list;
+  cross_preds : (int * Predicate.compiled) list;
       (** non-local predicates: (query node, predicate) *)
   edge_kinds : Ast.qedge_kind list;
       (** the query-edge kind behind each element of [pattern.p_edges]
@@ -50,10 +82,9 @@ let name_test_matches data test dn =
   | None -> false
   | Some l -> (
     match test with
-    | Ast.Exact n -> l = n
-    | Ast.Any_name -> true
-    | Ast.Name_re pattern ->
-      Gql_regex.Chre.matches (Predicate.compiled_regex pattern) l)
+    | Exact n -> l = n
+    | Any_name -> true
+    | Name_re re -> Gql_regex.Chre.matches re l)
 
 (* With an index in hand, a name test is an integer compare against the
    node's interned label symbol ([Index.node_sym], -1 for atoms) — one
@@ -63,12 +94,11 @@ let name_test_matches data test dn =
    race under domains: every domain computes the same byte). *)
 let name_test_sym (idx : Index.t) test : int -> bool =
   match test with
-  | Ast.Exact n ->
+  | Exact n ->
     let sym = Index.label_sym idx n in
     fun dn -> sym >= 0 && Index.node_sym idx dn = sym
-  | Ast.Any_name -> fun dn -> Index.node_sym idx dn >= 0
-  | Ast.Name_re pattern ->
-    let re = Predicate.compiled_regex pattern in
+  | Any_name -> fun dn -> Index.node_sym idx dn >= 0
+  | Name_re re ->
     let n_syms = Gql_data.Symtab.length (Index.symtab idx) in
     let memo = Bytes.make (max 1 n_syms) '\000' in
     fun dn ->
@@ -88,35 +118,28 @@ let name_test_sym (idx : Index.t) test : int -> bool =
 (* Candidate predicate for one query node, with local predicate pushdown.
    [index] specialises the name test to interned-symbol compares; the
    accepted node set is identical either way (scan-vs-index oracle). *)
-let node_predicate ?(index : Index.t option) data (qn : Ast.qnode) :
+let node_predicate ?(index : Index.t option) data (nt : node_test) :
     int -> Graph.node_kind -> bool =
-  let local_pred =
-    match qn.q_pred with
-    | Some p when Predicate.is_local p -> Some p
-    | Some _ | None -> None
-  in
-  let check_local dn self =
-    match local_pred with
+  let local_ok self =
+    match nt.local with
     | None -> true
-    | Some p ->
-      ignore dn;
-      Predicate.eval { Predicate.data; binding = [||] } ~self:(Some self) p
+    | Some p -> p { Predicate.data; binding = [||] } ~self:(Some self)
   in
-  match qn.q_kind with
-  | Ast.Q_elem test ->
+  match nt.name with
+  | Some test ->
     let name_ok : int -> bool =
       match index with
       | Some idx -> name_test_sym idx test
-      | None -> fun dn -> name_test_matches data test dn
+      | None -> name_test_matches data test
     in
     fun dn kind ->
       (match kind with Graph.Complex _ -> true | Graph.Atom _ -> false)
       && name_ok dn
-      && (local_pred = None || check_local dn (Graph.node_value data dn))
-  | Ast.Q_content | Ast.Q_attr ->
-    fun dn kind ->
+      && (Option.is_none nt.local || local_ok (Graph.node_value data dn))
+  | None ->
+    fun _ kind ->
       (match kind with
-      | Graph.Atom v -> check_local dn v
+      | Graph.Atom v -> local_ok v
       | Graph.Complex _ -> false)
 
 let deep_path : Graph.edge Gql_graph.Regpath.t =
@@ -219,7 +242,7 @@ let compile ?(index : Index.t option) (data : Graph.t) (q : Ast.query) :
       match edge_constraint e.q_kind_e with
       | None ->
         (* Absent edge: record the child spec for post-filtering. *)
-        absent_checks := (qpos.(e.q_src), q.q_nodes.(e.q_dst)) :: !absent_checks
+        absent_checks := (qpos.(e.q_src), e.q_dst) :: !absent_checks
       | Some c ->
         let dst =
           if is_circle e.q_dst && incoming.(e.q_dst) > 1 then begin
@@ -251,9 +274,10 @@ let compile ?(index : Index.t option) (data : Graph.t) (q : Ast.query) :
   let query_of_pid pid =
     if pid < n_kept then List.nth !kept pid else List.nth splits (pid - n_kept)
   in
+  let node_tests = Array.map node_test q.q_nodes in
   let p_nodes =
     Array.init total (fun pid ->
-        node_predicate ?index data q.q_nodes.(query_of_pid pid))
+        node_predicate ?index data node_tests.(query_of_pid pid))
   in
   let pat_to_query_arr = Array.init total query_of_pid in
   let value_join_groups =
@@ -283,7 +307,8 @@ let compile ?(index : Index.t option) (data : Graph.t) (q : Ast.query) :
     |> List.mapi (fun qid (n : Ast.qnode) -> (qid, n.q_pred))
     |> List.filter_map (fun (qid, p) ->
            match p with
-           | Some p when not (Predicate.is_local p) -> Some (qid, p)
+           | Some p when not (Predicate.is_local p) ->
+             Some (qid, Predicate.compile p)
            | Some _ | None -> None)
   in
   {
@@ -291,8 +316,12 @@ let compile ?(index : Index.t option) (data : Graph.t) (q : Ast.query) :
     pattern = { Gql_graph.Homo.p_nodes; p_edges = List.rev !p_edges };
     qpos;
     pat_to_query = pat_to_query_arr;
+    node_tests;
     value_join_groups;
-    absent_checks = List.rev !absent_checks;
+    absent_checks =
+      List.rev_map
+        (fun (src, dst) -> (src, node_predicate data node_tests.(dst)))
+        !absent_checks;
     ordered_groups;
     cross_preds;
     edge_kinds = List.rev !p_kinds;
@@ -304,15 +333,13 @@ let compile ?(index : Index.t option) (data : Graph.t) (q : Ast.query) :
     posting sets.  Supersets are sound: [Gql_graph.Homo] re-applies the
     node predicate.  Regex name tests run once per distinct label
     instead of once per node. *)
-let index_candidates (idx : Index.t) (qn : Ast.qnode) : Gql_graph.Iset.t =
-  match qn.q_kind with
-  | Ast.Q_elem (Ast.Exact n) -> Index.complex_with_label idx n
-  | Ast.Q_elem Ast.Any_name -> Index.all_complex idx
-  | Ast.Q_elem (Ast.Name_re pattern) ->
-    let re = Predicate.compiled_regex pattern in
-    Index.complex_matching idx (fun l -> Gql_regex.Chre.matches re l)
-  | Ast.Q_content | Ast.Q_attr -> (
-    match qn.q_pred with
+let index_candidates (idx : Index.t) (nt : node_test) : Gql_graph.Iset.t =
+  match nt.name with
+  | Some (Exact n) -> Index.complex_with_label idx n
+  | Some Any_name -> Index.all_complex idx
+  | Some (Name_re re) -> Index.complex_matching idx (Gql_regex.Chre.matches re)
+  | None -> (
+    match nt.qnode.q_pred with
     | Some p when Predicate.is_local p -> (
       match Predicate.equality_const p with
       | Some v -> Index.atoms_equal idx v
@@ -336,7 +363,7 @@ let provider (idx : Index.t) (c : compiled) :
     (Graph.node_kind, Graph.edge) Gql_graph.Homo.provider =
   let navs = Array.of_list (List.map (index_nav idx) c.edge_kinds) in
   Index.provider ~navs idx ~candidates:(fun p ->
-      Some (index_candidates idx c.query.Ast.q_nodes.(c.pat_to_query.(p))))
+      Some (index_candidates idx c.node_tests.(c.pat_to_query.(p))))
 
 (** Translate a pattern-space embedding into query-node space ([-1] for
     nodes that never bind). *)
@@ -366,14 +393,11 @@ let embedding_ok (c : compiled) (data : Graph.t) (emb : int array) : bool =
     c.value_join_groups
   && (* absent children *)
   List.for_all
-    (fun (src_q, (spec : Ast.qnode)) ->
-      let src_dn = emb.(src_q) in
-      let matches_spec dn =
-        let kind = Graph.kind data dn in
-        node_predicate data spec dn kind
-      in
+    (fun (src_q, matches_spec) ->
       not
-        (List.exists (fun (child, _) -> matches_spec child) (Graph.children data src_dn)))
+        (List.exists
+           (fun (child, _) -> matches_spec child (Graph.kind data child))
+           (Graph.children data emb.(src_q))))
     c.absent_checks
   && (* ordered containment *)
   List.for_all
@@ -395,7 +419,7 @@ let embedding_ok (c : compiled) (data : Graph.t) (emb : int array) : bool =
     (fun (qid, p) ->
       let dn = binding.(qid) in
       let self = if dn >= 0 then Some (Graph.node_value data dn) else None in
-      Predicate.eval { Predicate.data; binding } ~self p)
+      p { Predicate.data; binding } ~self)
     c.cross_preds
 
 (** All bindings of the query in the data graph; [index] routes the

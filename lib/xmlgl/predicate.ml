@@ -41,64 +41,58 @@ let rec eval_operand env ~self (op : Ast.operand) : Value.t option =
       Value.arith o x y
     | (Some _ | None), _ -> None)
 
-(* Regex predicates are compiled once per distinct pattern and cached;
-   rules are evaluated over thousands of candidate nodes.  The cache is
-   reached from node predicates during matching, which may run on
-   several domains at once — hence the mutex (compiling under the lock
-   is fine: it happens once per distinct pattern). *)
-let regex_cache : (string, Gql_regex.Chre.t) Hashtbl.t = Hashtbl.create 16
-let regex_cache_lock = Mutex.create ()
-
-let compiled_regex pattern =
-  Mutex.protect regex_cache_lock (fun () ->
-      match Hashtbl.find_opt regex_cache pattern with
-      | Some t -> t
-      | None ->
-        let t = Gql_regex.Chre.compile pattern in
-        Hashtbl.replace regex_cache pattern t;
-        t)
+(* [needle] occurs in [hay] at offset [i], compared in place. *)
+let occurs_at ~needle hay i =
+  let nl = String.length needle in
+  let rec from k = k = nl || (hay.[i + k] = needle.[k] && from (k + 1)) in
+  i + nl <= String.length hay && from 0
 
 let contains_sub ~needle hay =
-  let hl = String.length hay and nl = String.length needle in
-  let rec find i =
-    if i + nl > hl then false
-    else if String.sub hay i nl = needle then true
-    else find (i + 1)
-  in
-  nl = 0 || find 0
+  let last = String.length hay - String.length needle in
+  let rec find i = i <= last && (occurs_at ~needle hay i || find (i + 1)) in
+  find 0
 
-let rec eval env ~self (p : Ast.predicate) : bool =
+type compiled = env -> self:Value.t option -> bool
+(** A predicate with its regexes compiled.  Build it once per query and
+    apply it per candidate or embedding: compiling a regex costs far
+    more than running it. *)
+
+let rec compile (p : Ast.predicate) : compiled =
+  let on_string a test env ~self =
+    match eval_operand env ~self a with
+    | Some v -> test (Value.to_string v)
+    | None -> false
+  in
   match p with
   | Ast.Compare (op, a, b) -> (
-    match eval_operand env ~self a, eval_operand env ~self b with
-    | Some x, Some y -> (
-      let c = Value.compare_values x y in
+    let holds c =
       match op with
       | Ast.Eq -> c = 0
       | Ast.Neq -> c <> 0
       | Ast.Lt -> c < 0
       | Ast.Le -> c <= 0
       | Ast.Gt -> c > 0
-      | Ast.Ge -> c >= 0)
-    | (Some _ | None), _ -> false)
-  | Ast.Contains_str (a, needle) -> (
-    match eval_operand env ~self a with
-    | Some v -> contains_sub ~needle (Value.to_string v)
-    | None -> false)
-  | Ast.Starts_with (a, prefix) -> (
-    match eval_operand env ~self a with
-    | Some v ->
-      let s = Value.to_string v in
-      String.length prefix <= String.length s
-      && String.sub s 0 (String.length prefix) = prefix
-    | None -> false)
-  | Ast.Matches (a, pattern) -> (
-    match eval_operand env ~self a with
-    | Some v -> Gql_regex.Chre.search (compiled_regex pattern) (Value.to_string v)
-    | None -> false)
-  | Ast.And (a, b) -> eval env ~self a && eval env ~self b
-  | Ast.Or (a, b) -> eval env ~self a || eval env ~self b
-  | Ast.Not a -> not (eval env ~self a)
+      | Ast.Ge -> c >= 0
+    in
+    fun env ~self ->
+      match eval_operand env ~self a, eval_operand env ~self b with
+      | Some x, Some y -> holds (Value.compare_values x y)
+      | (Some _ | None), _ -> false)
+  | Ast.Contains_str (a, needle) -> on_string a (contains_sub ~needle)
+  | Ast.Starts_with (a, prefix) ->
+    on_string a (fun s -> occurs_at ~needle:prefix s 0)
+  | Ast.Matches (a, pattern) ->
+    let re = Gql_regex.Chre.compile pattern in
+    on_string a (Gql_regex.Chre.search re)
+  | Ast.And (a, b) ->
+    let a = compile a and b = compile b in
+    fun env ~self -> a env ~self && b env ~self
+  | Ast.Or (a, b) ->
+    let a = compile a and b = compile b in
+    fun env ~self -> a env ~self || b env ~self
+  | Ast.Not a ->
+    let a = compile a in
+    fun env ~self -> not (a env ~self)
 
 (** Does the predicate only depend on the node itself (no cross-node
     references)?  Such predicates are pushed into candidate selection. *)

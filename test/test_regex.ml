@@ -143,15 +143,18 @@ let test_parse_errors () =
   check "compile_opt none" true (Chre.compile_opt "(" = None);
   check "compile_opt some" true (Chre.compile_opt "a" <> None)
 
-(* Property: the NFA engine agrees with the Brzozowski-derivative
-   reference on random patterns and subjects. *)
+(* Properties: both engines (DFA and, over the state budget, the NFA
+   simulation) agree with the Brzozowski-derivative reference on random
+   patterns and subjects. *)
+let atoms =
+  [ "a"; "b"; "c"; "A"; "."; "[a-c]"; "[^ab]"; "[A-Za]"; "[0-9b]"; "\\d";
+    "\\w"; "\\s" ]
+
 let pattern_gen =
-  (* Random well-formed patterns over a tiny alphabet. *)
+  (* Random well-formed patterns over a small alphabet. *)
   let open QCheck.Gen in
   let rec gen depth =
-    if depth = 0 then
-      oneof
-        [ map (fun c -> String.make 1 c) (oneofl [ 'a'; 'b'; 'c' ]); return "." ]
+    if depth = 0 then oneofl atoms
     else
       frequency
         [
@@ -166,14 +169,35 @@ let pattern_gen =
   gen 3
 
 let subject_gen =
-  QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (int_bound 8))
+  QCheck.Gen.(
+    string_size ~gen:(oneofl [ 'a'; 'b'; 'c'; 'A'; 'B'; '1'; ' '; '-' ]) (int_bound 8))
 
-let prop_nfa_vs_derivative =
-  QCheck.Test.make ~name:"nfa agrees with derivative matcher" ~count:500
-    (QCheck.make (QCheck.Gen.pair pattern_gen subject_gen))
-    (fun (pat, subject) ->
-      let t = Chre.compile pat in
+let case_arb =
+  QCheck.make
+    ~print:(fun (ci, pat, subject) -> Printf.sprintf "%S ci=%b on %S" pat ci subject)
+    (QCheck.Gen.triple QCheck.Gen.bool pattern_gen subject_gen)
+
+(* [search] holds iff some substring is a whole match. *)
+let search_reference t subject =
+  let n = String.length subject in
+  List.exists
+    (fun i ->
+      List.exists
+        (fun len -> Chre.matches_reference t (String.sub subject i len))
+        (List.init (n - i + 1) Fun.id))
+    (List.init (n + 1) Fun.id)
+
+let prop_matches_vs_derivative =
+  QCheck.Test.make ~name:"matches agrees with derivative matcher" ~count:500
+    case_arb (fun (case_insensitive, pat, subject) ->
+      let t = Chre.compile ~case_insensitive pat in
       Chre.matches t subject = Chre.matches_reference t subject)
+
+let prop_search_vs_substrings =
+  QCheck.Test.make ~name:"search = some substring matches" ~count:500
+    case_arb (fun (case_insensitive, pat, subject) ->
+      let t = Chre.compile ~case_insensitive pat in
+      Chre.search t subject = search_reference t subject)
 
 let prop_nullable_matches_empty =
   QCheck.Test.make ~name:"nullable = matches empty string" ~count:300
@@ -181,6 +205,43 @@ let prop_nullable_matches_empty =
     (fun pat ->
       let t = Chre.compile pat in
       Chre.matches t "" = Syntax.nullable (Chre.ast t))
+
+(* (a|b)*a(a|b){12}: the 13th symbol from the end is an 'a', so both
+   DFAs need 2^12 or more states.  Compilation stops at the budget and
+   the subset simulation answers. *)
+let test_over_budget () =
+  let pat = "(a|b)*a" ^ String.concat "" (List.init 12 (fun _ -> "(a|b)")) in
+  let t0 = Unix.gettimeofday () in
+  let t = Chre.compile pat in
+  let dt = Unix.gettimeofday () -. t0 in
+  check "falls back to simulation" false (Chre.deterministic t);
+  check "compile time bounded" true (dt < 2.0);
+  check "paper pattern is a DFA" true (Chre.deterministic (Chre.compile "Van.*"));
+  let rng = Random.State.make [| 14 |] in
+  for _ = 1 to 200 do
+    let subject =
+      String.init (Random.State.int rng 20) (fun _ ->
+          if Random.State.bool rng then 'a' else 'b')
+    in
+    check ("matches " ^ subject) (Chre.matches_reference t subject)
+      (Chre.matches t subject);
+    check ("search " ^ subject) (search_reference t subject) (Chre.search t subject)
+  done
+
+(* A compiled regex is immutable: two domains sharing one value answer
+   exactly as a sequential run does. *)
+let test_shared_across_domains () =
+  let t = Chre.compile ~case_insensitive:true "van.*|[hH]oll?and|\\d+" in
+  let subjects =
+    List.init 2000 (fun i ->
+        Printf.sprintf "%s%d"
+          [| "VanDam"; "holand"; "Holland"; "x"; "" |].(i mod 5)
+          (i mod 7))
+  in
+  let answers () = List.map (fun s -> (Chre.matches t s, Chre.search t s)) subjects in
+  let expected = answers () in
+  let ds = List.init 2 (fun _ -> Domain.spawn answers) in
+  List.iter (fun d -> check "same answers" true (Domain.join d = expected)) ds
 
 (* --- Glushkov --------------------------------------------------------- *)
 
@@ -271,6 +332,9 @@ let () =
           Alcotest.test_case "search" `Quick test_search;
           Alcotest.test_case "case insensitive" `Quick test_case_insensitive;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
+          Alcotest.test_case "over the DFA budget" `Quick test_over_budget;
+          Alcotest.test_case "shared across domains" `Quick
+            test_shared_across_domains;
         ] );
       ( "glushkov",
         [
@@ -281,7 +345,8 @@ let () =
         ] );
       ( "properties",
         [
-          QCheck_alcotest.to_alcotest prop_nfa_vs_derivative;
+          QCheck_alcotest.to_alcotest prop_matches_vs_derivative;
+          QCheck_alcotest.to_alcotest prop_search_vs_substrings;
           QCheck_alcotest.to_alcotest prop_nullable_matches_empty;
           QCheck_alcotest.to_alcotest prop_glushkov_vs_nfa;
         ] );

@@ -442,6 +442,69 @@ let test_free_negation_universal () =
   (* only r has no incoming index edge *)
   check_int "unindexed documents" 1 (List.length embs)
 
+(* Regex conditions at the two call sites that used to compile once per
+   embedding: a free-negation value node (every restaurant without a
+   name matching /Trattoria [0-4]/) and a green value node.  The
+   green-part search tests each existing "tag" slot against /spec.*/
+   for every menu of a restaurant: a third of the restaurants already
+   carry a matching tag, a third a decoy that must not count.  The
+   stats and the derived graph are pinned: compiling the conditions
+   once per query must not change what the rule derives. *)
+let regex_rule () =
+  let b = Ast.Build.create () in
+  let r = Ast.Build.entity b "Restaurant" in
+  let m = Ast.Build.entity b "Menu" in
+  let n = Ast.Build.value b ~cond:[ Ast.Re "Trattoria [0-4]" ] () in
+  let t = Ast.Build.value b ~role:Ast.Construct ~cond:[ Ast.Re "spec.*" ] () in
+  Ast.Build.edge b ~label:"offers" r m;
+  Ast.Build.negated b ~label:"name" r n;
+  Ast.Build.derive b ~label:"tag" r t;
+  { Ast.schema = None; rules = [ Ast.Build.finish b ] }
+
+let graph_digest (g : Graph.t) =
+  let buf = Buffer.create 4096 in
+  Gql_graph.Digraph.iter_nodes
+    (fun i kind ->
+      Buffer.add_string buf
+        (match kind with
+        | Graph.Complex l -> Printf.sprintf "%d:%s\n" i l
+        | Graph.Atom v -> Printf.sprintf "%d=%s\n" i (Value.to_string v)))
+    (Graph.digraph g);
+  Gql_graph.Digraph.iter_edges
+    (fun ~src ~dst (e : Graph.edge) ->
+      Buffer.add_string buf
+        (Printf.sprintf "%d>%d %s %s %d\n" src dst
+           (match e.Graph.kind with
+           | Graph.Child -> "child"
+           | Graph.Attribute -> "attr"
+           | Graph.Ref -> "ref"
+           | Graph.Rel -> "rel")
+           e.Graph.name e.Graph.gen))
+    (Graph.digraph g);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_regex_conditions_fixpoint () =
+  List.iter
+    (fun (strategy, use_index, embeddings) ->
+      let g = Gql_workload.Gen.restaurants ~seed:5 200 in
+      let special = Graph.add_atom g (Value.string "special") in
+      let decoy = Graph.add_atom g (Value.string "plain") in
+      Gql_graph.Digraph.iter_nodes
+        (fun i kind ->
+          if kind = Graph.Complex "Restaurant" && i mod 3 < 2 then
+            Graph.link g ~src:i
+              ~dst:(if i mod 3 = 0 then special else decoy)
+              (Graph.attr_edge "tag"))
+        (Graph.digraph g);
+      let st = Eval.run ~strategy ~use_index g (regex_rule ()) in
+      check_int "rounds" 2 st.Eval.rounds;
+      check_int "embeddings" embeddings st.Eval.embeddings_found;
+      check_int "nodes added" 19 st.Eval.nodes_added;
+      check_int "edges added" 19 st.Eval.edges_added;
+      Alcotest.(check string)
+        "derived graph" "420b98271d1b0b6ec51502bb153094ee" (graph_digest g))
+    [ (`Semi_naive, true, 53); (`Semi_naive, false, 53); (`Naive, true, 106) ]
+
 let () =
   Alcotest.run "gql_wglog"
     [
@@ -486,5 +549,7 @@ let () =
           Alcotest.test_case "invalid rejected" `Quick test_invalid_program_rejected;
           Alcotest.test_case "collect edge rejected" `Quick
             test_goal_rejects_collect_query_edge;
+          Alcotest.test_case "regex conditions" `Quick
+            test_regex_conditions_fixpoint;
         ] );
     ]

@@ -513,7 +513,8 @@ let test_multiple_roots_order () =
 let test_predicate_units () =
   let env = { Predicate.data = people; binding = [||] } in
   let self = Some (Gql_data.Value.int 10) in
-  let ev p = Predicate.eval env ~self p in
+  let ev p = Predicate.compile p env ~self in
+  let on s p = Predicate.compile p env ~self:(Some (Gql_data.Value.string s)) in
   check "eq" true (ev (Ast.Compare (Ast.Eq, Ast.Self, Ast.Const (Gql_data.Value.string "10"))));
   check "arith chain" true
     (ev (Ast.Compare (Ast.Eq,
@@ -526,11 +527,14 @@ let test_predicate_units () =
   check "unbound node ref is non-match" false
     (ev (Ast.Compare (Ast.Eq, Ast.Self, Ast.Node_value 99)));
   check "not" true (ev (Ast.Not (Ast.Compare (Ast.Lt, Ast.Self, Ast.Const (Gql_data.Value.int 5)))));
-  check "contains" true
-    (Predicate.eval env ~self:(Some (Gql_data.Value.string "hello world")) 
-       (Ast.Contains_str (Ast.Self, "lo wo")));
+  check "contains" true (on "hello world" (Ast.Contains_str (Ast.Self, "lo wo")));
+  check "contains at the very end, not past it" false
+    (on "hello world" (Ast.Contains_str (Ast.Self, "world!")));
+  check "starts with" true (on "hello world" (Ast.Starts_with (Ast.Self, "hell")));
+  check "prefix longer than subject" false
+    (on "he" (Ast.Starts_with (Ast.Self, "hell")));
   check "missing self is non-match" false
-    (Predicate.eval env ~self:None (Ast.Compare (Ast.Eq, Ast.Self, Ast.Self)))
+    (Predicate.compile (Ast.Compare (Ast.Eq, Ast.Self, Ast.Self)) env ~self:None)
 
 let test_result_document_order () =
   (* construction instances follow match (document) order: a query over
